@@ -1,7 +1,8 @@
 // GEMM kernel micro-bench: the seed scalar kernel vs the packed 4x16
 // register-blocked kernel, the int8 quantized kernel vs the fp32 packed
-// kernel, the fused bias+ReLU epilogue, ParallelGemm scaling, and the
-// end-to-end PolicyValueNet batch sweep (fp32 and int8). Writes a JSON
+// kernel, the fused bias+ReLU epilogue, batch-1 linear layers on per-call
+// vs pack-once weights, ParallelGemm scaling, and the end-to-end
+// PolicyValueNet batch sweep (fp32 and int8). Writes a JSON
 // baseline (default BENCH_gemm.json, or argv[1]) so kernel regressions are
 // diffable — the ISSUE-1 acceptance numbers (single-thread GFLOP/s uplift
 // at 256^3, batch-64 vs batch-1 per-position latency) and the ISSUE-6
@@ -190,49 +191,43 @@ int main(int argc, char** argv) {
                "GFLOP/s");
   }
 
-  // --- gemm_abt pack variants ----------------------------------------------
-  // gemm_abt (linear forward / conv weight-grad: C = A·Bᵀ with B stored
-  // [N,K]) packs B panels by strided gather — each packed column walks K
-  // with stride 1 but hops rows of B. The alternative materialises Bᵀ once
-  // (naive transpose) and runs the unit-stride gemm pack. The verdict
-  // (ROADMAP follow-up) decides whether gemm_abt deserves its own
-  // transposed-pack kernel: ratio > 1 means pre-transposing beats the
-  // gather pack even after paying for the transpose.
+  // --- batch-1 linear forward: per-call weight pack vs packed once ---------
+  // The policy head's FC at batch 1, one leaf per eval (the serial and
+  // local-tree drivers' regime), at the paper net's and the tiny net's
+  // shape (M x N x K = 1 x 225 x 900 and 1 x 225 x 450). gemm_abt_bias_relu
+  // re-packs the whole [Out, In] weight matrix on every call before a
+  // one-row GEMM; Linear packs it once and runs the row-vector kernel.
   {
     struct Shape {
-      int m, n, k;
+      int in, out;
       const char* tag;
     };
-    for (const Shape s : {Shape{256, 256, 256, "256"},
-                          Shape{128, 1152, 900, "wgrad"}}) {
-      Tensor a = Tensor::randn({s.m, s.k}, rng, 1.0f);
-      Tensor bt = Tensor::randn({s.n, s.k}, rng, 1.0f);  // B as [N,K]
-      Tensor btrans({s.k, s.n});
-      Tensor c({s.m, s.n});
-      const double s_gather = best_seconds([&] {
-        gemm_abt(a.data(), bt.data(), c.data(), s.m, s.n, s.k, false);
+    for (const Shape s :
+         {Shape{900, 225, "paper_fc_p"}, Shape{450, 225, "tiny_fc_p"}}) {
+      Tensor x = Tensor::randn({1, s.in}, rng, 1.0f);
+      Tensor w = Tensor::randn({s.out, s.in}, rng, 1.0f);
+      Tensor bias = Tensor::randn({s.out}, rng, 1.0f);
+      Tensor y({1, s.out});
+      PackedWeights packed;
+      pack_weights(w.data(), s.out, s.in, WeightRole::kBt, packed);
+      const double s_call = best_seconds([&] {
+        gemm_abt_bias_relu(x.data(), w.data(), bias.data(), y.data(), 1,
+                           s.out, s.in, false);
       });
-      const double s_pre = best_seconds([&] {
-        for (int j = 0; j < s.n; ++j) {
-          const float* src = bt.data() + static_cast<std::size_t>(j) * s.k;
-          for (int kk = 0; kk < s.k; ++kk) {
-            btrans[static_cast<std::size_t>(kk) * s.n + j] = src[kk];
-          }
-        }
-        gemm(a.data(), btrans.data(), c.data(), s.m, s.n, s.k, false);
+      const double s_packed = best_seconds([&] {
+        gemm_abt_packed_bias_relu(nullptr, x.data(), packed, bias.data(),
+                                  y.data(), 1, false);
       });
-      const double g_gather = gflops(s.m, s.n, s.k, s_gather);
-      const double g_pre = gflops(s.m, s.n, s.k, s_pre);
-      std::printf(
-          "gemm_abt %-5s (%dx%dx%d): gather-pack %7.2f GFLOP/s   "
-          "pre-transpose %7.2f GFLOP/s   (pretrans/gather %.2fx)\n",
-          s.tag, s.m, s.n, s.k, g_gather, g_pre, g_pre / g_gather);
-      json.entry(std::string("gemm_abt_gather_") + s.tag, g_gather,
-                 "GFLOP/s");
-      json.entry(std::string("gemm_abt_pretrans_") + s.tag, g_pre,
-                 "GFLOP/s");
-      json.entry(std::string("gemm_abt_pretrans_speedup_") + s.tag,
-                 g_pre / g_gather, "x");
+      std::printf("fc b1 %-10s (1x%dx%d): per-call pack %7.2f us   packed "
+                  "%7.2f us   (%.2fx)\n",
+                  s.tag, s.out, s.in, s_call * 1e6, s_packed * 1e6,
+                  s_call / s_packed);
+      json.entry(std::string("fc_b1_") + s.tag + "_percall_us", s_call * 1e6,
+                 "us");
+      json.entry(std::string("fc_b1_") + s.tag + "_packed_us",
+                 s_packed * 1e6, "us");
+      json.entry(std::string("fc_b1_") + s.tag + "_speedup",
+                 s_call / s_packed, "x");
     }
   }
 

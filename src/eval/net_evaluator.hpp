@@ -26,8 +26,11 @@ namespace apm {
 
 class NetEvaluator final : public Evaluator {
  public:
-  // The net must outlive the evaluator. Inference only reads weights, so a
-  // trainer may swap in new weights between moves (not during a search).
+  // The net must outlive the evaluator. A trainer may write new weights
+  // (optimizer step, copy_weights_from, load_net) only while no evaluate()
+  // is in flight — between moves, never during a search; the first
+  // evaluate() after the write repacks each changed layer once, and
+  // concurrent callers wait for that pack.
   // gemm_threads > 0 spawns a dedicated intra-op pool of that many workers;
   // 0 keeps every GEMM on the calling thread. conv_col_budget_bytes bounds
   // each workspace's conv scratch so large batches are lowered in

@@ -21,8 +21,8 @@ Conv2d::Conv2d(std::string name, int in_channels, int out_channels, int ksize)
 void Conv2d::init(Rng& rng) {
   const auto fan_in =
       static_cast<float>(in_channels_ * ksize_ * ksize_);
-  w_.value.fill_randn(rng, std::sqrt(2.0f / fan_in));
-  b_.value.zero();
+  w_.mutable_value().fill_randn(rng, std::sqrt(2.0f / fan_in));
+  b_.mutable_value().zero();
 }
 
 void conv_forward_chunked(
@@ -57,8 +57,14 @@ void conv_forward_chunked(
   const std::size_t y_stride = static_cast<std::size_t>(out_channels) * hw;
   for (int b0 = 0; b0 < batch; b0 += chunk) {
     const int bs = std::min(chunk, batch - b0);
-    im2col_batched(x.data() + b0 * x_stride, bs, in_channels, h, w, ksize,
-                   pad, ws.col.data());
+    // A 1x1 kernel lowers one sample to the sample itself: no copy.
+    const float* col = ws.col.data();
+    if (ksize == 1 && pad == 0 && bs == 1) {
+      col = x.data() + b0 * x_stride;
+    } else {
+      im2col_batched(x.data() + b0 * x_stride, bs, in_channels, h, w, ksize,
+                     pad, ws.col.data());
+    }
     if (col_cache != nullptr) {
       // Backward consumes per-sample columns [B, kk, HW]; slice them out of
       // the chunk-major buffer (row r of chunk-sample b is col[r] + b*HW).
@@ -67,8 +73,7 @@ void conv_forward_chunked(
                      static_cast<std::size_t>(b0 + b) * kk * hw;
         for (int r = 0; r < kk; ++r) {
           std::memcpy(dst + static_cast<std::size_t>(r) * hw,
-                      ws.col.data() +
-                          (static_cast<std::size_t>(r) * bs + b) * hw,
+                      col + (static_cast<std::size_t>(r) * bs + b) * hw,
                       static_cast<std::size_t>(hw) * sizeof(float));
         }
       }
@@ -77,14 +82,14 @@ void conv_forward_chunked(
     if (bs == 1) {
       // y_b[Cout, HW] = W[Cout, kk] * col[kk, HW] + b, fused epilogue —
       // channel-major output IS the sample's layout, no permute needed.
-      gemm_chunk(ws.col.data(), hw, y.data() + b0 * y_stride);
+      gemm_chunk(col, hw, y.data() + b0 * y_stride);
       continue;
     }
     // ybuf[Cout, bs*HW] = W[Cout, kk] * col[kk, bs*HW] + b, then permute
     // the channel-major GEMM output back to [bs, Cout, HW]. The permute is
     // one contiguous HW-row copy per (b, oc) — negligible next to the 2·kk
     // FLOPs/element GEMM it amortises.
-    gemm_chunk(ws.col.data(), bs * hw, ws.ybuf.data());
+    gemm_chunk(col, bs * hw, ws.ybuf.data());
     for (int b = 0; b < bs; ++b) {
       float* yb = y.data() + (b0 + b) * y_stride;
       for (int oc = 0; oc < out_channels; ++oc) {
@@ -100,12 +105,12 @@ void conv_forward_chunked(
 void Conv2d::forward(const Tensor& x, Tensor& y, ConvWorkspace& ws,
                      Tensor* col_cache, bool fuse_relu,
                      ThreadPool* pool) const {
-  const int kk = in_channels_ * ksize_ * ksize_;
+  const PackedWeights& w = w_pack_.get(w_, WeightRole::kA);
   conv_forward_chunked(
       x, y, ws, in_channels_, out_channels_, ksize_, pad_, col_cache,
       [&](const float* col, int cols, float* out) {
-        gemm_bias_relu_parallel(pool, w_.value.data(), col, b_.value.data(),
-                                out, out_channels_, cols, kk, fuse_relu);
+        gemm_packed_bias_relu(pool, w, col, b_.value().data(), out, cols,
+                              fuse_relu);
       });
 }
 
@@ -135,7 +140,7 @@ void Conv2d::backward(const Tensor& dy, const Tensor& col_cache, Tensor& dx,
       b_.grad[oc] += sum(dyi + static_cast<std::size_t>(oc) * hw, hw);
     }
     // dcol[kk, HW] = W^T[kk, Cout] * dy_i[Cout, HW]
-    gemm_atb(w_.value.data(), dyi, dcol_scratch.data(), kk, hw, out_channels_,
+    gemm_atb(w_.value().data(), dyi, dcol_scratch.data(), kk, hw, out_channels_,
              /*accumulate=*/false);
     col2im(dcol_scratch.data(), in_channels_, h, w, ksize_, pad_,
            dx.data() + i * dx_stride);

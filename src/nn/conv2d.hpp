@@ -9,7 +9,10 @@
 //
 // Thread-safety contract: forward() is const and reads only the weights, so
 // any number of inference threads may call it concurrently as long as each
-// supplies its own workspace. backward() accumulates into the parameter
+// supplies its own workspace. It runs on the kernel packed once into the
+// GEMM's kMR-row A panels; the first forward after a weight write
+// (Param::mutable_value) repacks them, once, under a lock, so weight writes
+// must not overlap a forward. backward() accumulates into the parameter
 // gradients and must be externally serialised (the training pipeline is
 // single-threaded by design, matching the paper's separate "DNN training
 // stage").
@@ -92,6 +95,7 @@ class Conv2d {
   int pad_;
   Param w_;  // [Cout, Cin*k*k]
   Param b_;  // [Cout]
+  WeightPack w_pack_;  // w_ as kMR-row A panels
 };
 
 }  // namespace apm

@@ -14,8 +14,8 @@ Linear::Linear(std::string name, int in_features, int out_features)
 
 void Linear::init(Rng& rng) {
   const float bound = std::sqrt(6.0f / static_cast<float>(in_ + out_));
-  w_.value.fill_uniform(rng, -bound, bound);
-  b_.value.zero();
+  w_.mutable_value().fill_uniform(rng, -bound, bound);
+  b_.mutable_value().zero();
 }
 
 void Linear::forward(const Tensor& x, Tensor& y, bool fuse_relu) const {
@@ -23,8 +23,9 @@ void Linear::forward(const Tensor& x, Tensor& y, bool fuse_relu) const {
   const int batch = x.dim(0);
   y.resize({batch, out_});
   // y[B, Out] = x[B, In] * W[Out, In]^T + b, fused epilogue.
-  gemm_abt_bias_relu(x.data(), w_.value.data(), b_.value.data(), y.data(),
-                     batch, out_, in_, fuse_relu);
+  gemm_abt_packed_bias_relu(nullptr, x.data(),
+                            w_pack_.get(w_, WeightRole::kBt),
+                            b_.value().data(), y.data(), batch, fuse_relu);
 }
 
 void Linear::backward(const Tensor& x, const Tensor& dy, Tensor& dx) {
@@ -40,7 +41,7 @@ void Linear::backward(const Tensor& x, const Tensor& dy, Tensor& dx) {
   }
   dx.resize({batch, in_});
   // dx[B, In] = dy[B, Out] * W[Out, In]
-  gemm(dy.data(), w_.value.data(), dx.data(), batch, in_, out_,
+  gemm(dy.data(), w_.value().data(), dx.data(), batch, in_, out_,
        /*accumulate=*/false);
 }
 

@@ -2,7 +2,9 @@
 // Fully connected layer: y = x W^T + b.
 //
 // Same thread-safety contract as Conv2d: forward() is const / reentrant,
-// backward() serialised by the (single-threaded) trainer.
+// backward() serialised by the (single-threaded) trainer. forward() runs on
+// W packed once into the GEMM's B panels; the first forward after a weight
+// write (Param::mutable_value) repacks them, once, under a lock.
 
 #include <vector>
 
@@ -37,6 +39,7 @@ class Linear {
   int out_;
   Param w_;  // [Out, In]
   Param b_;  // [Out]
+  WeightPack w_pack_;  // w_ as kNR-column B panels
 };
 
 }  // namespace apm

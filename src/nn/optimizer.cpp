@@ -9,7 +9,7 @@ SgdOptimizer::SgdOptimizer(std::vector<Param*> params, SgdConfig cfg)
   velocity_.reserve(params_.size());
   for (Param* p : params_) {
     APM_CHECK(p != nullptr);
-    velocity_.push_back(Tensor::zeros(p->value.shape()));
+    velocity_.push_back(Tensor::zeros(p->value().shape()));
   }
 }
 
@@ -17,7 +17,7 @@ void SgdOptimizer::step() {
   for (std::size_t pi = 0; pi < params_.size(); ++pi) {
     Param& p = *params_[pi];
     Tensor& v = velocity_[pi];
-    float* w = p.value.data();
+    float* w = p.mutable_value().data();
     const float* g = p.grad.data();
     float* vel = v.data();
     const std::size_t n = p.numel();

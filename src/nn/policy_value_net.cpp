@@ -245,7 +245,7 @@ void PolicyValueNet::copy_weights_from(PolicyValueNet& other) {
   APM_CHECK(dst.size() == src.size());
   for (std::size_t i = 0; i < dst.size(); ++i) {
     APM_CHECK(dst[i]->numel() == src[i]->numel());
-    std::memcpy(dst[i]->value.data(), src[i]->value.data(),
+    std::memcpy(dst[i]->mutable_value().data(), src[i]->value().data(),
                 src[i]->numel() * sizeof(float));
   }
 }

@@ -29,12 +29,14 @@ QuantizedConv2d::QuantizedConv2d(const Conv2d& src)
       out_channels_(src.out_channels()),
       ksize_(src.ksize()),
       pad_(src.ksize() / 2),
-      wq_(src.weight().value.numel()),
+      wq_(src.weight().value().numel()),
       wscale_(static_cast<std::size_t>(src.out_channels())),
-      bias_(tensor_to_vec(src.bias().value)) {
+      bias_(tensor_to_vec(src.bias().value())) {
   const int kk = in_channels_ * ksize_ * ksize_;
-  quantize_rows_int8(src.weight().value.data(), out_channels_, kk, wq_.data(),
-                     wscale_.data());
+  quantize_rows_int8(src.weight().value().data(), out_channels_, kk,
+                     wq_.data(), wscale_.data());
+  pack_weights_q8(wq_.data(), wscale_.data(), out_channels_, kk,
+                  WeightRole::kA, packed_);
 }
 
 QuantizedConv2d::QuantizedConv2d(int in_channels, int out_channels, int ksize,
@@ -53,28 +55,30 @@ QuantizedConv2d::QuantizedConv2d(int in_channels, int out_channels, int ksize,
   APM_CHECK(wq_.size() == kk * out_channels);
   APM_CHECK(wscale_.size() == static_cast<std::size_t>(out_channels));
   APM_CHECK(bias_.size() == static_cast<std::size_t>(out_channels));
+  pack_weights_q8(wq_.data(), wscale_.data(), out_channels,
+                  static_cast<int>(kk), WeightRole::kA, packed_);
 }
 
 void QuantizedConv2d::forward(const Tensor& x, Tensor& y, ConvWorkspace& ws,
                               bool fuse_relu, ThreadPool* pool) const {
-  const int kk = in_channels_ * ksize_ * ksize_;
   conv_forward_chunked(
       x, y, ws, in_channels_, out_channels_, ksize_, pad_,
       /*col_cache=*/nullptr, [&](const float* col, int cols, float* out) {
-        gemm_q8_bias_relu(pool, wq_.data(), wscale_.data(), col,
-                          bias_.data(), out, out_channels_, cols, kk,
-                          fuse_relu);
+        gemm_q8_packed_bias_relu(pool, packed_, col, bias_.data(), out, cols,
+                                 fuse_relu);
       });
 }
 
 QuantizedLinear::QuantizedLinear(const Linear& src)
     : in_(src.in_features()),
       out_(src.out_features()),
-      wq_(src.weight().value.numel()),
+      wq_(src.weight().value().numel()),
       wscale_(static_cast<std::size_t>(src.out_features())),
-      bias_(tensor_to_vec(src.bias().value)) {
-  quantize_rows_int8(src.weight().value.data(), out_, in_, wq_.data(),
+      bias_(tensor_to_vec(src.bias().value())) {
+  quantize_rows_int8(src.weight().value().data(), out_, in_, wq_.data(),
                      wscale_.data());
+  pack_weights_q8(wq_.data(), wscale_.data(), out_, in_, WeightRole::kBt,
+                  packed_);
 }
 
 QuantizedLinear::QuantizedLinear(int in_features, int out_features,
@@ -90,6 +94,8 @@ QuantizedLinear::QuantizedLinear(int in_features, int out_features,
             static_cast<std::size_t>(in_features) * out_features);
   APM_CHECK(wscale_.size() == static_cast<std::size_t>(out_features));
   APM_CHECK(bias_.size() == static_cast<std::size_t>(out_features));
+  pack_weights_q8(wq_.data(), wscale_.data(), out_features, in_features,
+                  WeightRole::kBt, packed_);
 }
 
 void QuantizedLinear::forward(const Tensor& x, Tensor& y, bool fuse_relu,
@@ -97,8 +103,8 @@ void QuantizedLinear::forward(const Tensor& x, Tensor& y, bool fuse_relu,
   APM_CHECK(x.rank() == 2 && x.dim(1) == in_);
   const int batch = x.dim(0);
   y.resize({batch, out_});
-  gemm_q8_abt_bias_relu(pool, x.data(), wq_.data(), wscale_.data(),
-                        bias_.data(), y.data(), batch, out_, in_, fuse_relu);
+  gemm_q8_abt_packed_bias_relu(pool, x.data(), packed_, bias_.data(),
+                               y.data(), batch, fuse_relu);
 }
 
 QuantizedPolicyValueNet::QuantizedPolicyValueNet(const PolicyValueNet& net,
@@ -233,8 +239,8 @@ void write_qlin(std::ostream& out, const QuantizedLinear& l) {
 }
 
 void write_fp32(std::ostream& out, const Param& w, const Param& b) {
-  write_array(out, w.value.data(), w.value.numel());
-  write_array(out, b.value.data(), b.value.numel());
+  write_array(out, w.value().data(), w.value().numel());
+  write_array(out, b.value().data(), b.value().numel());
 }
 
 QuantizedConv2d read_qconv(std::istream& in, int in_ch, int out_ch,
@@ -260,20 +266,24 @@ Conv2d read_fconv(std::istream& in, const char* name, int in_ch, int out_ch,
                   int ksize) {
   Conv2d c(name, in_ch, out_ch, ksize);
   auto params = c.params();
-  auto w = read_array<float>(in, params[0]->value.numel());
-  auto b = read_array<float>(in, params[1]->value.numel());
-  std::memcpy(params[0]->value.data(), w.data(), w.size() * sizeof(float));
-  std::memcpy(params[1]->value.data(), b.data(), b.size() * sizeof(float));
+  auto w = read_array<float>(in, params[0]->numel());
+  auto b = read_array<float>(in, params[1]->numel());
+  std::memcpy(params[0]->mutable_value().data(), w.data(),
+              w.size() * sizeof(float));
+  std::memcpy(params[1]->mutable_value().data(), b.data(),
+              b.size() * sizeof(float));
   return c;
 }
 
 Linear read_flin(std::istream& in, const char* name, int in_f, int out_f) {
   Linear l(name, in_f, out_f);
   auto params = l.params();
-  auto w = read_array<float>(in, params[0]->value.numel());
-  auto b = read_array<float>(in, params[1]->value.numel());
-  std::memcpy(params[0]->value.data(), w.data(), w.size() * sizeof(float));
-  std::memcpy(params[1]->value.data(), b.data(), b.size() * sizeof(float));
+  auto w = read_array<float>(in, params[0]->numel());
+  auto b = read_array<float>(in, params[1]->numel());
+  std::memcpy(params[0]->mutable_value().data(), w.data(),
+              w.size() * sizeof(float));
+  std::memcpy(params[1]->mutable_value().data(), b.data(),
+              b.size() * sizeof(float));
   return l;
 }
 

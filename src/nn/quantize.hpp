@@ -2,8 +2,10 @@
 // fp32 -> int8 conversion of PolicyValueNet for inference serving.
 //
 // Each Conv2d/Linear weight matrix is quantized to symmetric per-output-
-// channel int8 (quantize_rows_int8); biases stay fp32 because they are
-// added in the dequantized epilogue. Forward passes run on the gemm_q8
+// channel int8 (quantize_rows_int8) and packed once, in the layer's
+// constructor, into the int8 GEMM's K-quad panels with their per-block
+// weight sums (pack_weights_q8); biases stay fp32 because they are added
+// in the dequantized epilogue. Forward passes run on the gemm_q8
 // family: activations are quantized on the fly inside the pack step, the
 // micro-kernel accumulates in int32, and the dequant + bias + ReLU land in
 // the fused store epilogue — so a quantized layer makes the same single
@@ -20,7 +22,9 @@
 // inference snapshot constructed FROM a trained PolicyValueNet (or loaded
 // from a quantized checkpoint, magic "APMQ"); it has no gradients and no
 // train path. Thread-safety matches PolicyValueNet: predict() is const and
-// reentrant with per-caller Activations workspaces.
+// reentrant with per-caller Activations workspaces. The fp32 layers the
+// spec keeps are copies with their own weight packs, built by the first
+// predict().
 
 #include <cstdint>
 #include <iosfwd>
@@ -74,6 +78,7 @@ class QuantizedConv2d {
   std::vector<std::int8_t> wq_;  // [Cout, Cin*k*k]
   std::vector<float> wscale_;    // [Cout]
   std::vector<float> bias_;      // [Cout]
+  PackedWeightsQ8 packed_;       // wq_ as kMR-row A panels
 };
 
 // Inference-only fully connected layer with per-output-channel int8
@@ -100,6 +105,7 @@ class QuantizedLinear {
   std::vector<std::int8_t> wq_;  // [Out, In]
   std::vector<float> wscale_;    // [Out]
   std::vector<float> bias_;      // [Out]
+  PackedWeightsQ8 packed_;       // wq_ as kNR-lane B panels
 };
 
 // The int8 serving snapshot of a PolicyValueNet. Layers the spec keeps in

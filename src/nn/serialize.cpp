@@ -62,7 +62,7 @@ void save_net(PolicyValueNet& net, std::ostream& out) {
   write_pod<std::uint32_t>(out, static_cast<std::uint32_t>(params.size()));
   for (Param* p : params) {
     write_pod<std::uint64_t>(out, p->numel());
-    out.write(reinterpret_cast<const char*>(p->value.data()),
+    out.write(reinterpret_cast<const char*>(p->value().data()),
               static_cast<std::streamsize>(p->numel() * sizeof(float)));
   }
   APM_CHECK_MSG(out.good(), "checkpoint write failed");
@@ -90,7 +90,7 @@ void load_net(PolicyValueNet& net, std::istream& in) {
   for (Param* p : params) {
     const auto numel = read_pod<std::uint64_t>(in);
     APM_CHECK_MSG(numel == p->numel(), "checkpoint param size mismatch");
-    in.read(reinterpret_cast<char*>(p->value.data()),
+    in.read(reinterpret_cast<char*>(p->mutable_value().data()),
             static_cast<std::streamsize>(numel * sizeof(float)));
     APM_CHECK_MSG(in.good(), "truncated checkpoint");
   }

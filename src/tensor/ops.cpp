@@ -232,77 +232,211 @@ void store_tile(float* c, int ldc, const float* acc, int i0, int j0, int mr,
   }
 }
 
-// GEMM over the column range [jc_begin, jc_end) of C: packs B/A into the
-// calling thread's buffers and runs the kc / m-block / micro-kernel loops.
-// The arithmetic performed for each C element is independent of how the
-// caller splits the column range or shards the m-block loop, which is what
-// makes the parallel paths bitwise deterministic.
-void gemm_region(ThreadPool* pool, const float* a, bool a_trans,
-                 const float* b, bool b_trans, const float* row_bias,
-                 const float* col_bias, float* c, int m, int n, int k,
-                 bool accumulate, bool relu, int jc_begin, int jc_end) {
+// The destination and epilogue of every micro-tile of one K block.
+struct TileStore {
+  float* c;
+  int ldc;
+  bool first;
+  bool last;
+  bool accumulate;
+  const float* row_bias;
+  const float* col_bias;
+  bool relu;
+
+  void operator()(const float* acc, int i0, int j0, int mr, int nr) const {
+    store_tile(c, ldc, acc, i0, j0, mr, nr, first, last, accumulate,
+               row_bias, col_bias, relu);
+  }
+};
+
+// Row-vector micro-kernel for a tile with R < kMR live rows: the R rows
+// against P consecutive B panels (panel_stride floats apart), so a batch-1
+// layer keeps P*2 vector FMAs in flight instead of running a 4-row tile
+// with one live row. Every accumulator lane runs the same multiply-add
+// chain as micro_kernel_4x16, so each row is bitwise equal to that row of
+// a 4x16 tile. acc receives P [R][kNR] tiles back to back.
+#if defined(__GNUC__) || defined(__clang__)
+template <int R, int P>
+void micro_kernel_rows(const float* __restrict ap, const float* __restrict bp,
+                       std::size_t panel_stride, int kc,
+                       float* __restrict acc) {
+  v8f c[P][R][2] = {};
+  for (int p = 0; p < kc; ++p) {
+    for (int q = 0; q < P; ++q) {
+      const float* bq =
+          bp + q * panel_stride + static_cast<std::size_t>(p) * kNR;
+      v8f b0, b1;
+      std::memcpy(&b0, bq, sizeof(b0));
+      std::memcpy(&b1, bq + 8, sizeof(b1));
+      for (int r = 0; r < R; ++r) {
+        const float a = ap[p * kMR + r];
+        c[q][r][0] += a * b0;
+        c[q][r][1] += a * b1;
+      }
+    }
+  }
+  for (int q = 0; q < P; ++q) {
+    for (int r = 0; r < R; ++r) {
+      std::memcpy(acc + (q * R + r) * kNR, &c[q][r][0], 32);
+      std::memcpy(acc + (q * R + r) * kNR + 8, &c[q][r][1], 32);
+    }
+  }
+}
+#else
+template <int R, int P>
+void micro_kernel_rows(const float* __restrict ap, const float* __restrict bp,
+                       std::size_t panel_stride, int kc,
+                       float* __restrict acc) {
+  float c[P][R][kNR] = {};
+  for (int p = 0; p < kc; ++p) {
+    for (int q = 0; q < P; ++q) {
+      const float* bq =
+          bp + q * panel_stride + static_cast<std::size_t>(p) * kNR;
+      for (int r = 0; r < R; ++r) {
+        const float a = ap[p * kMR + r];
+        for (int j = 0; j < kNR; ++j) c[q][r][j] += a * bq[j];
+      }
+    }
+  }
+  std::memcpy(acc, c, sizeof c);
+}
+#endif
+
+// The R trailing rows of an m-block: P B panels per row-vector kernel call,
+// then one panel at a time for the remainder.
+template <int R, int P>
+void row_tiles(const float* ap, const float* bpack, int kc, int nc, int i0,
+               int jc, const TileStore& store) {
+  const int n_panels = (nc + kNR - 1) / kNR;
+  const std::size_t stride = static_cast<std::size_t>(kc) * kNR;
+  float acc[P * R * kNR];
+  int jp = 0;
+  for (; jp + P <= n_panels; jp += P) {
+    micro_kernel_rows<R, P>(ap, bpack + jp * stride, stride, kc, acc);
+    for (int q = 0; q < P; ++q) {
+      const int j = (jp + q) * kNR;
+      store(acc + q * R * kNR, i0, jc + j, R, std::min(kNR, nc - j));
+    }
+  }
+  for (; jp < n_panels; ++jp) {
+    micro_kernel_rows<R, 1>(ap, bpack + jp * stride, stride, kc, acc);
+    store(acc, i0, jc + jp * kNR, R, std::min(kNR, nc - jp * kNR));
+  }
+}
+
+// Every micro-tile of one (m-block, column range, K block): whole kMR-row
+// panels on the 4x16 kernel, a trailing partial panel on the row-vector
+// kernel chosen by its live row count.
+void compute_block(const float* apack, const float* bpack, int kc, int mc,
+                   int nc, int i0, int jc, const TileStore& store) {
+  const int n_panels = (nc + kNR - 1) / kNR;
+  const int full = mc / kMR;
+  float acc[kMR * kNR];
+  for (int jp = 0; jp < n_panels; ++jp) {
+    const float* bp = bpack + static_cast<std::size_t>(jp) * kc * kNR;
+    const int nr = std::min(kNR, nc - jp * kNR);
+    for (int ip = 0; ip < full; ++ip) {
+      micro_kernel_4x16(apack + static_cast<std::size_t>(ip) * kc * kMR, bp,
+                        kc, acc);
+      store(acc, i0 + ip * kMR, jc + jp * kNR, kMR, nr);
+    }
+  }
+  const float* ap = apack + static_cast<std::size_t>(full) * kc * kMR;
+  const int i_tail = i0 + full * kMR;
+  switch (mc - full * kMR) {
+    case 1: row_tiles<1, 4>(ap, bpack, kc, nc, i_tail, jc, store); break;
+    case 2: row_tiles<2, 2>(ap, bpack, kc, nc, i_tail, jc, store); break;
+    case 3: row_tiles<3, 1>(ap, bpack, kc, nc, i_tail, jc, store); break;
+    default: break;
+  }
+}
+
+// One GEMM operand as the driver consumes it: a row-major matrix packed
+// into panels by every call (`trans`: A stored [K, M], B stored [N, K]),
+// or weights whose panels pack_weights built once (`panels` non-null; a K
+// block's panels lie back to back, blocks in K order).
+struct Operand {
+  const float* data = nullptr;
+  bool trans = false;
+  const float* panels = nullptr;
+};
+
+// GEMM over the column range [jc_begin, jc_end) of C: packs the per-call
+// operands into the calling thread's buffers and runs the kc / m-block /
+// micro-kernel loops. The arithmetic performed for each C element is
+// independent of how the caller splits the column range or shards the
+// m-block loop, which is what makes the parallel paths bitwise
+// deterministic.
+void gemm_region(ThreadPool* pool, const Operand& a, const Operand& b,
+                 const float* row_bias, const float* col_bias, float* c, int m,
+                 int n, int k, bool accumulate, bool relu, int jc_begin,
+                 int jc_end) {
   const int m_blocks = (m + kMC - 1) / kMC;
+  // Rows (A) / columns (B) of one K block of a pre-packed operand, padded
+  // to whole panels.
+  const auto a_rows = static_cast<std::size_t>((m + kMR - 1) / kMR * kMR);
+  const auto b_cols = static_cast<std::size_t>((n + kNR - 1) / kNR * kNR);
   for (int jc = jc_begin; jc < jc_end; jc += kNC) {
     const int nc = std::min(kNC, jc_end - jc);
     const int n_panels = (nc + kNR - 1) / kNR;
     for (int kc0 = 0; kc0 < k; kc0 += kKC) {
       const int kc = std::min(kKC, k - kc0);
-      const bool first = kc0 == 0;
-      const bool last = kc0 + kc == k;
-      float* bpack = pack_buffer(
-          tl_bpack, static_cast<std::size_t>(n_panels) * kc * kNR);
-      if (b_trans) {
-        pack_b_t(b + static_cast<std::size_t>(jc) * k + kc0, k, kc, nc,
-                 bpack);
+      const float* bpack;
+      if (b.panels != nullptr) {
+        bpack = b.panels + kc0 * b_cols + static_cast<std::size_t>(jc) * kc;
       } else {
-        pack_b(b + static_cast<std::size_t>(kc0) * n + jc, n, kc, nc, bpack);
+        float* buf = pack_buffer(
+            tl_bpack, static_cast<std::size_t>(n_panels) * kc * kNR);
+        if (b.trans) {
+          pack_b_t(b.data + static_cast<std::size_t>(jc) * k + kc0, k, kc,
+                   nc, buf);
+        } else {
+          pack_b(b.data + static_cast<std::size_t>(kc0) * n + jc, n, kc, nc,
+                 buf);
+        }
+        bpack = buf;
       }
+      const TileStore store{c,        n,        kc0 == 0, kc0 + kc == k,
+                            accumulate, row_bias, col_bias, relu};
       parallel_for(pool, 0, m_blocks, 1, [&, bpack](int ib0, int ib1) {
         for (int ib = ib0; ib < ib1; ++ib) {
           const int i0 = ib * kMC;
           const int mc = std::min(kMC, m - i0);
-          const int m_panels = (mc + kMR - 1) / kMR;
-          float* apack = pack_buffer(
-              tl_apack, static_cast<std::size_t>(m_panels) * kc * kMR);
-          if (a_trans) {
-            pack_a_t(a + static_cast<std::size_t>(kc0) * m + i0, m, mc, kc,
-                     apack);
+          const float* apack;
+          if (a.panels != nullptr) {
+            apack = a.panels + kc0 * a_rows + static_cast<std::size_t>(i0) * kc;
           } else {
-            pack_a(a + static_cast<std::size_t>(i0) * k + kc0, k, mc, kc,
-                   apack);
-          }
-          float acc[kMR * kNR];
-          for (int jp = 0; jp < n_panels; ++jp) {
-            const float* bp = bpack + static_cast<std::size_t>(jp) * kc * kNR;
-            const int nr = std::min(kNR, nc - jp * kNR);
-            for (int ip = 0; ip < m_panels; ++ip) {
-              const float* ap =
-                  apack + static_cast<std::size_t>(ip) * kc * kMR;
-              const int mr = std::min(kMR, mc - ip * kMR);
-              micro_kernel_4x16(ap, bp, kc, acc);
-              store_tile(c, n, acc, i0 + ip * kMR, jc + jp * kNR, mr, nr,
-                         first, last, accumulate, row_bias, col_bias, relu);
+            const int m_panels = (mc + kMR - 1) / kMR;
+            float* buf = pack_buffer(
+                tl_apack, static_cast<std::size_t>(m_panels) * kc * kMR);
+            if (a.trans) {
+              pack_a_t(a.data + static_cast<std::size_t>(kc0) * m + i0, m,
+                       mc, kc, buf);
+            } else {
+              pack_a(a.data + static_cast<std::size_t>(i0) * k + kc0, k, mc,
+                     kc, buf);
             }
+            apack = buf;
           }
+          compute_block(apack, bpack, kc, mc, nc, i0, jc, store);
         }
       });
     }
   }
 }
 
-// Shared GEMM driver. a_trans: A passed as [K, M]; b_trans: B passed as
-// [N, K]. Parallel sharding picks the wider dimension: when C has several
-// kNC column blocks (the whole-batch conv shape, N = B·H·W), workers take
-// disjoint column ranges — parallelism then grows with the batch size,
-// which is what makes large evaluator batches scale across cores. Otherwise
-// row-blocks are sharded inside the single column region. Either way every
-// C element is produced by exactly one thread with the identical blocking
-// and accumulation order as the serial path, so threaded and serial results
-// are bitwise equal. Bias epilogues require accumulate == false.
-void gemm_driver(ThreadPool* pool, const float* a, bool a_trans,
-                 const float* b, bool b_trans, const float* row_bias,
-                 const float* col_bias, float* c, int m, int n, int k,
-                 bool accumulate, bool relu) {
+// Shared GEMM driver. Parallel sharding picks the wider dimension: when C
+// has several kNC column blocks (the whole-batch conv shape, N = B·H·W),
+// workers take disjoint column ranges — parallelism then grows with the
+// batch size, which is what makes large evaluator batches scale across
+// cores. Otherwise row-blocks are sharded inside the single column region.
+// Either way every C element is produced by exactly one thread with the
+// identical blocking and accumulation order as the serial path, so threaded
+// and serial results are bitwise equal. Bias epilogues require
+// accumulate == false.
+void gemm_driver(ThreadPool* pool, const Operand& a, const Operand& b,
+                 const float* row_bias, const float* col_bias, float* c, int m,
+                 int n, int k, bool accumulate, bool relu) {
   APM_DCHECK(m >= 0 && n >= 0 && k >= 0);
   APM_DCHECK(!(accumulate && (row_bias || col_bias || relu)));
   if (m == 0 || n == 0) return;
@@ -331,20 +465,20 @@ void gemm_driver(ThreadPool* pool, const float* a, bool a_trans,
     if (col_chunks >= 2 && col_chunks >= m_blocks) {
       parallel_for(pool, 0, col_chunks, 1, [&](int cb0, int cb1) {
         for (int cb = cb0; cb < cb1; ++cb) {
-          gemm_region(nullptr, a, a_trans, b, b_trans, row_bias, col_bias, c,
-                      m, n, k, accumulate, relu, cb * chunk,
+          gemm_region(nullptr, a, b, row_bias, col_bias, c, m, n, k,
+                      accumulate, relu, cb * chunk,
                       std::min((cb + 1) * chunk, n));
         }
       });
       return;
     }
     // Tall-and-narrow C: shard the row blocks inside one column region.
-    gemm_region(pool, a, a_trans, b, b_trans, row_bias, col_bias, c, m, n, k,
-                accumulate, relu, 0, n);
+    gemm_region(pool, a, b, row_bias, col_bias, c, m, n, k, accumulate, relu,
+                0, n);
     return;
   }
-  gemm_region(nullptr, a, a_trans, b, b_trans, row_bias, col_bias, c, m, n,
-              k, accumulate, relu, 0, n);
+  gemm_region(nullptr, a, b, row_bias, col_bias, c, m, n, k, accumulate,
+              relu, 0, n);
 }
 
 // --- int8 quantized GEMM ----------------------------------------------------
@@ -362,7 +496,8 @@ void gemm_driver(ThreadPool* pool, const float* a, bool a_trans,
 //
 //     sum_p w x  ~=  ws * as * sum_p(wq * q)  +  ws * lo * sum_p(wq),
 //
-// with sum_p(wq) (per row, per K-block) computed once at weight-pack time.
+// with sum_p(wq) (per row, per K-block) computed once, when pack_weights_q8
+// builds the layer's weight panels.
 // Zero padding is exact on the weight side (wq = 0 annihilates whatever the
 // padded activation byte holds), so the kernels never branch on remainders.
 // Accumulators span one K-block: |sum| <= kKC * 255 * 127 ~= 8.3e6, far
@@ -380,7 +515,6 @@ thread_local std::vector<float> tl_q8_b_scale;
 thread_local std::vector<float> tl_q8_b_corr;
 thread_local std::vector<float> tl_q8_lo;
 thread_local std::vector<float> tl_q8_inv;
-thread_local std::vector<std::int32_t> tl_q8_wqsum;
 
 // Quantizes the activation block b[kc x nc] (row-major, leading dim ldb)
 // into kNR-lane K-quad panels dst[jp][(p/4)*kNR*4 + j*4 + p%4], writing the
@@ -478,8 +612,9 @@ void pack_act_rows_q8(const float* a, int lda, int mc, int kc, int kq,
   }
 }
 
-// Pre-quantized weight rows as the A side (conv: Wq[M,K]): kMR-row K-quad
-// panels plus the per-row block sum of wq (the dequant correction term).
+// One K block of pre-quantized weight rows as the A side (conv: Wq[M,K]):
+// kMR-row K-quad panels plus the per-row block sum of wq (the dequant
+// correction term).
 void pack_wq_rows_a(const std::int8_t* wq, int ldw, int mc, int kc, int kq,
                     std::uint8_t* dst, std::int32_t* wqsum) {
   const int panels = (mc + kMR - 1) / kMR;
@@ -508,8 +643,9 @@ void pack_wq_rows_a(const std::int8_t* wq, int ldw, int mc, int kc, int kq,
   }
 }
 
-// Pre-quantized weight rows as the B side (linear abt: Wq[N,K], logical
-// column j = weight row j): kNR-lane K-quad panels plus per-lane block sums.
+// One K block of pre-quantized weight rows as the B side (linear abt:
+// Wq[N,K], logical column j = weight row j): kNR-lane K-quad panels plus
+// per-lane block sums.
 void pack_wq_rows_b(const std::int8_t* wq, int ldw, int kc, int nc, int kq,
                     std::uint8_t* dst, std::int32_t* wqsum) {
   const int panels = (nc + kNR - 1) / kNR;
@@ -647,15 +783,16 @@ void store_tile_q8(float* c, int ldc, const std::int32_t* acc, int i0,
 }
 
 // Int8 GEMM over the column range [jc_begin, jc_end): the q8 counterpart of
-// gemm_region. weights_a selects the conv shape (A = Wq[M,K], B = fp32
-// activations quantized on pack) vs the linear-abt shape (A = fp32
-// activation rows, B = Wq[N,K]).
-void gemm_q8_region(ThreadPool* pool, bool weights_a, const float* act,
-                    const std::int8_t* wq, const float* wscales,
-                    const float* bias, float* c, int m, int n, int k,
-                    bool relu, int jc_begin, int jc_end) {
+// gemm_region. The weights' role selects the conv shape (A = packed Wq[M,K],
+// B = fp32 activations quantized on pack) vs the linear-abt shape (A = fp32
+// activation rows, B = packed Wq[N,K]).
+void gemm_q8_region(ThreadPool* pool, const PackedWeightsQ8& w,
+                    const float* act, const float* bias, float* c, int m,
+                    int n, int k, bool relu, int jc_begin, int jc_end) {
+  const bool weights_a = w.role == WeightRole::kA;
   const float* row_bias = weights_a ? bias : nullptr;
   const float* col_bias = weights_a ? nullptr : bias;
+  const std::size_t w_rows = w.scale.size();  // whole panels
   const int m_blocks = (m + kMC - 1) / kMC;
   for (int jc = jc_begin; jc < jc_end; jc += kNC) {
     const int nc = std::min(kNC, jc_end - jc);
@@ -665,25 +802,29 @@ void gemm_q8_region(ThreadPool* pool, bool weights_a, const float* act,
       const int kq = (kc + 3) / 4;
       const bool first = kc0 == 0;
       const bool last = kc0 + kc == k;
-      std::uint8_t* bpack = pack_buffer(
-          tl_q8_bpack, static_cast<std::size_t>(n_panels) * kq * kNR * 4);
-      float* cs = pack_buffer(tl_q8_b_scale,
-                              static_cast<std::size_t>(n_panels) * kNR);
-      float* cc = pack_buffer(tl_q8_b_corr,
-                              static_cast<std::size_t>(n_panels) * kNR);
+      // Every K block but the last is kKC deep (a whole number of quads),
+      // so block kc0 of the weight panels starts kc0 * w_rows bytes in.
+      const std::uint8_t* wblock = w.panels.data() + kc0 * w_rows;
+      const float* wcorr = w.corr.data() + kc0 / kKC * w_rows;
+      const std::uint8_t* bpack;
+      const float* cs;
+      const float* cc;
       if (weights_a) {
+        std::uint8_t* buf = pack_buffer(
+            tl_q8_bpack, static_cast<std::size_t>(n_panels) * kq * kNR * 4);
+        float* scale = pack_buffer(tl_q8_b_scale,
+                                   static_cast<std::size_t>(n_panels) * kNR);
+        float* off = pack_buffer(tl_q8_b_corr,
+                                 static_cast<std::size_t>(n_panels) * kNR);
         pack_act_cols_q8(act + static_cast<std::size_t>(kc0) * n + jc, n, kc,
-                         nc, kq, bpack, cs, cc);
+                         nc, kq, buf, scale, off);
+        bpack = buf;
+        cs = scale;
+        cc = off;
       } else {
-        std::int32_t* wsum = pack_buffer(
-            tl_q8_wqsum, static_cast<std::size_t>(n_panels) * kNR);
-        pack_wq_rows_b(wq + static_cast<std::size_t>(jc) * k + kc0, k, kc,
-                       nc, kq, bpack, wsum);
-        for (int j = 0; j < n_panels * kNR; ++j) {
-          const float s = j < nc ? wscales[jc + j] : 0.0f;
-          cs[j] = s;
-          cc[j] = s * static_cast<float>(wsum[j]);
-        }
+        bpack = wblock + static_cast<std::size_t>(jc) * kq * 4;
+        cs = w.scale.data() + jc;
+        cc = wcorr + jc;
       }
       parallel_for(pool, 0, m_blocks, 1, [&, bpack, cs, cc](int ib0,
                                                             int ib1) {
@@ -691,26 +832,26 @@ void gemm_q8_region(ThreadPool* pool, bool weights_a, const float* act,
           const int i0 = ib * kMC;
           const int mc = std::min(kMC, m - i0);
           const int m_panels = (mc + kMR - 1) / kMR;
-          std::uint8_t* apack = pack_buffer(
-              tl_q8_apack,
-              static_cast<std::size_t>(m_panels) * kq * kMR * 4);
-          float* rs = pack_buffer(tl_q8_a_scale,
-                                  static_cast<std::size_t>(m_panels) * kMR);
-          float* rc = pack_buffer(tl_q8_a_corr,
-                                  static_cast<std::size_t>(m_panels) * kMR);
+          const std::uint8_t* apack;
+          const float* rs;
+          const float* rc;
           if (weights_a) {
-            std::int32_t* wsum = pack_buffer(
-                tl_q8_wqsum, static_cast<std::size_t>(m_panels) * kMR);
-            pack_wq_rows_a(wq + static_cast<std::size_t>(i0) * k + kc0, k,
-                           mc, kc, kq, apack, wsum);
-            for (int r = 0; r < m_panels * kMR; ++r) {
-              const float s = r < mc ? wscales[i0 + r] : 0.0f;
-              rs[r] = s;
-              rc[r] = s * static_cast<float>(wsum[r]);
-            }
+            apack = wblock + static_cast<std::size_t>(i0) * kq * 4;
+            rs = w.scale.data() + i0;
+            rc = wcorr + i0;
           } else {
+            std::uint8_t* buf = pack_buffer(
+                tl_q8_apack,
+                static_cast<std::size_t>(m_panels) * kq * kMR * 4);
+            float* scale = pack_buffer(
+                tl_q8_a_scale, static_cast<std::size_t>(m_panels) * kMR);
+            float* off = pack_buffer(tl_q8_a_corr,
+                                     static_cast<std::size_t>(m_panels) * kMR);
             pack_act_rows_q8(act + static_cast<std::size_t>(i0) * k + kc0, k,
-                             mc, kc, kq, apack, rs, rc);
+                             mc, kc, kq, buf, scale, off);
+            apack = buf;
+            rs = scale;
+            rc = off;
           }
           std::int32_t acc[kMR * kNR];
           for (int jp = 0; jp < n_panels; ++jp) {
@@ -742,13 +883,13 @@ void gemm_q8_region(ThreadPool* pool, bool weights_a, const float* act,
 // fp32 gemm_driver. Any split is bitwise-safe here too — integer tiles are
 // exact and the float dequant order per C element depends only on the kc
 // blocking.
-void gemm_q8_driver(ThreadPool* pool, bool weights_a, const float* act,
-                    const std::int8_t* wq, const float* wscales,
-                    const float* bias, float* c, int m, int n, int k,
-                    bool relu) {
+void gemm_q8_driver(ThreadPool* pool, const PackedWeightsQ8& w,
+                    const float* act, const float* bias, float* c, int m,
+                    int n, int k, bool relu) {
   APM_DCHECK(m >= 0 && n >= 0 && k >= 0);
   if (m == 0 || n == 0) return;
   if (k == 0) {
+    const bool weights_a = w.role == WeightRole::kA;
     const float* row_bias = weights_a ? bias : nullptr;
     const float* col_bias = weights_a ? nullptr : bias;
     for (int i = 0; i < m; ++i) {
@@ -769,63 +910,91 @@ void gemm_q8_driver(ThreadPool* pool, bool weights_a, const float* act,
     if (col_chunks >= 2 && col_chunks >= m_blocks) {
       parallel_for(pool, 0, col_chunks, 1, [&](int cb0, int cb1) {
         for (int cb = cb0; cb < cb1; ++cb) {
-          gemm_q8_region(nullptr, weights_a, act, wq, wscales, bias, c, m, n,
-                         k, relu, cb * chunk, std::min((cb + 1) * chunk, n));
+          gemm_q8_region(nullptr, w, act, bias, c, m, n, k, relu, cb * chunk,
+                         std::min((cb + 1) * chunk, n));
         }
       });
       return;
     }
-    gemm_q8_region(pool, weights_a, act, wq, wscales, bias, c, m, n, k, relu,
-                   0, n);
+    gemm_q8_region(pool, w, act, bias, c, m, n, k, relu, 0, n);
     return;
   }
-  gemm_q8_region(nullptr, weights_a, act, wq, wscales, bias, c, m, n, k,
-                 relu, 0, n);
+  gemm_q8_region(nullptr, w, act, bias, c, m, n, k, relu, 0, n);
 }
 
 }  // namespace
 
 void gemm(const float* a, const float* b, float* c, int m, int n, int k,
           bool accumulate) {
-  gemm_driver(nullptr, a, false, b, false, nullptr, nullptr, c, m, n, k,
+  gemm_driver(nullptr, Operand{a}, Operand{b}, nullptr, nullptr, c, m, n, k,
               accumulate, false);
 }
 
 void gemm_parallel(ThreadPool* pool, const float* a, const float* b, float* c,
                    int m, int n, int k, bool accumulate) {
-  gemm_driver(pool, a, false, b, false, nullptr, nullptr, c, m, n, k,
+  gemm_driver(pool, Operand{a}, Operand{b}, nullptr, nullptr, c, m, n, k,
               accumulate, false);
 }
 
 void gemm_bias_relu(const float* a, const float* b, const float* bias,
                     float* c, int m, int n, int k, bool relu) {
-  gemm_driver(nullptr, a, false, b, false, bias, nullptr, c, m, n, k, false,
-              relu);
-}
-
-void gemm_bias_relu_parallel(ThreadPool* pool, const float* a, const float* b,
-                             const float* bias, float* c, int m, int n, int k,
-                             bool relu) {
-  gemm_driver(pool, a, false, b, false, bias, nullptr, c, m, n, k, false,
-              relu);
+  gemm_driver(nullptr, Operand{a}, Operand{b}, bias, nullptr, c, m, n, k,
+              false, relu);
 }
 
 void gemm_atb(const float* a, const float* b, float* c, int m, int n, int k,
               bool accumulate) {
-  gemm_driver(nullptr, a, true, b, false, nullptr, nullptr, c, m, n, k,
-              accumulate, false);
+  gemm_driver(nullptr, Operand{a, true}, Operand{b}, nullptr, nullptr, c, m,
+              n, k, accumulate, false);
 }
 
 void gemm_abt(const float* a, const float* b, float* c, int m, int n, int k,
               bool accumulate) {
-  gemm_driver(nullptr, a, false, b, true, nullptr, nullptr, c, m, n, k,
-              accumulate, false);
+  gemm_driver(nullptr, Operand{a}, Operand{b, true}, nullptr, nullptr, c, m,
+              n, k, accumulate, false);
 }
 
 void gemm_abt_bias_relu(const float* a, const float* b, const float* bias,
                         float* c, int m, int n, int k, bool relu) {
-  gemm_driver(nullptr, a, false, b, true, nullptr, bias, c, m, n, k, false,
-              relu);
+  gemm_driver(nullptr, Operand{a}, Operand{b, true}, nullptr, bias, c, m, n,
+              k, false, relu);
+}
+
+void pack_weights(const float* w, int rows, int k, WeightRole role,
+                  PackedWeights& out) {
+  APM_CHECK(rows >= 0 && k >= 0);
+  const int width = role == WeightRole::kA ? kMR : kNR;
+  const std::size_t padded =
+      static_cast<std::size_t>((rows + width - 1) / width) * width;
+  out.role = role;
+  out.rows = rows;
+  out.k = k;
+  out.panels.resize(padded * k);
+  for (int kc0 = 0; kc0 < k; kc0 += kKC) {
+    const int kc = std::min(kKC, k - kc0);
+    float* dst = out.panels.data() + kc0 * padded;
+    if (role == WeightRole::kA) {
+      pack_a(w + kc0, k, rows, kc, dst);
+    } else {
+      pack_b_t(w + kc0, k, kc, rows, dst);
+    }
+  }
+}
+
+void gemm_packed_bias_relu(ThreadPool* pool, const PackedWeights& w,
+                           const float* b, const float* bias, float* c, int n,
+                           bool relu) {
+  APM_CHECK(w.role == WeightRole::kA);
+  gemm_driver(pool, Operand{nullptr, false, w.panels.data()}, Operand{b},
+              bias, nullptr, c, w.rows, n, w.k, false, relu);
+}
+
+void gemm_abt_packed_bias_relu(ThreadPool* pool, const float* a,
+                               const PackedWeights& w, const float* bias,
+                               float* c, int m, bool relu) {
+  APM_CHECK(w.role == WeightRole::kBt);
+  gemm_driver(pool, Operand{a}, Operand{nullptr, true, w.panels.data()},
+              nullptr, bias, c, m, w.rows, w.k, false, relu);
 }
 
 void quantize_rows_int8(const float* w, int rows, int k, std::int8_t* wq,
@@ -845,20 +1014,68 @@ void quantize_rows_int8(const float* w, int rows, int k, std::int8_t* wq,
   }
 }
 
+void pack_weights_q8(const std::int8_t* wq, const float* wscales, int rows,
+                     int k, WeightRole role, PackedWeightsQ8& out) {
+  APM_CHECK(rows >= 0 && k >= 0);
+  const int width = role == WeightRole::kA ? kMR : kNR;
+  const std::size_t padded =
+      static_cast<std::size_t>((rows + width - 1) / width) * width;
+  const int blocks = (k + kKC - 1) / kKC;
+  out.role = role;
+  out.rows = rows;
+  out.k = k;
+  // Each K block is stored in whole quads: k rounded up to a multiple of 4.
+  out.panels.resize(padded * static_cast<std::size_t>((k + 3) / 4 * 4));
+  out.scale.assign(padded, 0.0f);
+  std::copy(wscales, wscales + rows, out.scale.begin());
+  out.corr.resize(static_cast<std::size_t>(blocks) * padded);
+  std::vector<std::int32_t> wsum(padded);
+  for (int kc0 = 0; kc0 < k; kc0 += kKC) {
+    const int kc = std::min(kKC, k - kc0);
+    const int kq = (kc + 3) / 4;
+    std::uint8_t* dst = out.panels.data() + kc0 * padded;
+    if (role == WeightRole::kA) {
+      pack_wq_rows_a(wq + kc0, k, rows, kc, kq, dst, wsum.data());
+    } else {
+      pack_wq_rows_b(wq + kc0, k, kc, rows, kq, dst, wsum.data());
+    }
+    float* corr = out.corr.data() + kc0 / kKC * padded;
+    for (std::size_t r = 0; r < padded; ++r) {
+      corr[r] = out.scale[r] * static_cast<float>(wsum[r]);
+    }
+  }
+}
+
+void gemm_q8_packed_bias_relu(ThreadPool* pool, const PackedWeightsQ8& w,
+                              const float* b, const float* bias, float* c,
+                              int n, bool relu) {
+  APM_CHECK(w.role == WeightRole::kA);
+  gemm_q8_driver(pool, w, b, bias, c, w.rows, n, w.k, relu);
+}
+
+void gemm_q8_abt_packed_bias_relu(ThreadPool* pool, const float* a,
+                                  const PackedWeightsQ8& w, const float* bias,
+                                  float* c, int m, bool relu) {
+  APM_CHECK(w.role == WeightRole::kBt);
+  gemm_q8_driver(pool, w, a, bias, c, m, w.rows, w.k, relu);
+}
+
 void gemm_q8_bias_relu(ThreadPool* pool, const std::int8_t* wq,
                        const float* wscales, const float* b,
                        const float* bias, float* c, int m, int n, int k,
                        bool relu) {
-  gemm_q8_driver(pool, /*weights_a=*/true, b, wq, wscales, bias, c, m, n, k,
-                 relu);
+  PackedWeightsQ8 w;
+  pack_weights_q8(wq, wscales, m, k, WeightRole::kA, w);
+  gemm_q8_packed_bias_relu(pool, w, b, bias, c, n, relu);
 }
 
 void gemm_q8_abt_bias_relu(ThreadPool* pool, const float* a,
                            const std::int8_t* wq, const float* wscales,
                            const float* bias, float* c, int m, int n, int k,
                            bool relu) {
-  gemm_q8_driver(pool, /*weights_a=*/false, a, wq, wscales, bias, c, m, n, k,
-                 relu);
+  PackedWeightsQ8 w;
+  pack_weights_q8(wq, wscales, n, k, WeightRole::kBt, w);
+  gemm_q8_abt_packed_bias_relu(pool, a, w, bias, c, m, relu);
 }
 
 bool gemm_q8_simd_enabled() {

@@ -20,19 +20,39 @@
 //     and accumulation order as the serial path, so threaded and serial
 //     results are bitwise equal.
 //
+// Weight-stationary operands. Inference weights are constant between
+// writes, so a layer packs them once (pack_weights / pack_weights_q8) and
+// the *_packed_* entry points consume those panels directly: conv weights
+// arrive as the kMR-row A panels, linear weights ([Out, In]) as the
+// kNR-column B panels, each laid out per kKC block exactly as the per-call
+// pack would produce them. Only activations — and the operands of the
+// backward GEMMs — are packed per call. A tile with fewer than kMR live
+// rows (a batch-1 linear layer, a 1-2 channel head conv) runs a
+// row-vector kernel that keeps several B panels in flight instead of a
+// 4-row tile with dead rows.
+//
+// Accumulation-order invariant: every C element is reduced the same way
+// on every path — a sequential multiply-add chain over k inside each kKC
+// block, blocks added to C in order, bias and ReLU after the last block.
+// Pre-packed vs per-call panels, the row-vector vs 4x16 kernel and serial
+// vs sharded execution change only which instructions run, never that
+// chain, so their results are bitwise equal.
+//
 // The gemm_q8 family is the int8 inference path hosted by the same driver
 // skeleton: weights arrive pre-quantized (symmetric per-output-channel
-// int8, quantize_rows_int8), activations are quantized to unsigned 8-bit
-// during the pack step with an asymmetric per-(K-block, lane) min/scale,
-// the 4x16 micro-kernel widen-accumulates u8 x s8 products into int32
-// (AVX-512 VNNI vpdpbusd when available, exact scalar otherwise), and the
-// dequantization — plus the same fused bias/ReLU — happens in the store
-// epilogue. Integer accumulation is exact and the per-element dequant
-// order is independent of sharding, so int8 results are bitwise identical
-// across thread counts AND across the SIMD/scalar kernels.
+// int8, quantize_rows_int8) and pre-packed into K-quad panels together
+// with their per-block weight sums, activations are quantized to unsigned
+// 8-bit during the pack step with an asymmetric per-(K-block, lane)
+// min/scale, the 4x16 micro-kernel widen-accumulates u8 x s8 products into
+// int32 (AVX-512 VNNI vpdpbusd when available, exact scalar otherwise),
+// and the dequantization — plus the same fused bias/ReLU — happens in the
+// store epilogue. Integer accumulation is exact and the per-element
+// dequant order is independent of sharding, so int8 results are bitwise
+// identical across thread counts AND across the SIMD/scalar kernels.
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "tensor/tensor.hpp"
 
@@ -58,14 +78,11 @@ void gemm_parallel(ThreadPool* pool, const float* a, const float* b, float* c,
 
 // Fused epilogue: C[M,N] = A[M,K]*B[K,N] + bias[i] (broadcast along the
 // row), then ReLU when `relu`. `bias` may be nullptr (no bias). This is the
-// convolution forward shape, where row i is output channel i.
+// convolution forward shape, where row i is output channel i; Conv2d runs
+// it on weights packed once (gemm_packed_bias_relu), and this per-call
+// form packs both operands on every call.
 void gemm_bias_relu(const float* a, const float* b, const float* bias,
                     float* c, int m, int n, int k, bool relu);
-
-// ParallelGemm variant of the fused kernel.
-void gemm_bias_relu_parallel(ThreadPool* pool, const float* a, const float* b,
-                             const float* bias, float* c, int m, int n, int k,
-                             bool relu);
 
 // C[M,N] op= A[K,M]^T * B[K,N].
 void gemm_atb(const float* a, const float* b, float* c, int m, int n, int k,
@@ -77,9 +94,45 @@ void gemm_abt(const float* a, const float* b, float* c, int m, int n, int k,
 
 // Fused linear-layer forward: C[M,N] = A[M,K]*B[N,K]^T + bias[j] (broadcast
 // down the column, i.e. per output feature), then ReLU when `relu`. `bias`
-// may be nullptr.
+// may be nullptr. Packs B on every call; Linear uses the pack-once form,
+// gemm_abt_packed_bias_relu.
 void gemm_abt_bias_relu(const float* a, const float* b, const float* bias,
                         float* c, int m, int n, int k, bool relu);
+
+// --- weight-stationary (pack-once) operands ----------------------------------
+
+// Which GEMM operand a packed weight matrix W[rows, k] feeds.
+enum class WeightRole {
+  kA,   // conv forward: C[rows, N] = W * B; kMR-row A panels
+  kBt,  // linear forward: C[M, rows] = A * W^T; kNR-column B panels
+};
+
+// W[rows, k] in the driver's panel layout for `role`, zero-padded to a whole
+// number of panels. Built by pack_weights; consumed by the *_packed_* GEMMs.
+struct PackedWeights {
+  WeightRole role = WeightRole::kA;
+  int rows = 0;
+  int k = 0;
+  std::vector<float> panels;
+};
+
+// Packs W[rows, k] (row-major) into `out`, reusing its storage.
+void pack_weights(const float* w, int rows, int k, WeightRole role,
+                  PackedWeights& out);
+
+// gemm_bias_relu with a pre-packed A (role kA): C[M,N] = W*B[K,N] + bias[i],
+// then ReLU when `relu`; M = w.rows, K = w.k. Bitwise equal to
+// gemm_bias_relu on the unpacked weights. `pool` shards like gemm_parallel.
+void gemm_packed_bias_relu(ThreadPool* pool, const PackedWeights& w,
+                           const float* b, const float* bias, float* c, int n,
+                           bool relu);
+
+// gemm_abt_bias_relu with a pre-packed B (role kBt): C[M,N] = A[M,K]*W^T +
+// bias[j], then ReLU when `relu`; N = w.rows, K = w.k. Bitwise equal to
+// gemm_abt_bias_relu on the unpacked weights.
+void gemm_abt_packed_bias_relu(ThreadPool* pool, const float* a,
+                               const PackedWeights& w, const float* bias,
+                               float* c, int m, bool relu);
 
 // --- int8 quantized GEMM family ---------------------------------------------
 
@@ -91,19 +144,46 @@ void gemm_abt_bias_relu(const float* a, const float* b, const float* bias,
 void quantize_rows_int8(const float* w, int rows, int k, std::int8_t* wq,
                         float* scales);
 
-// Quantized convolution-forward shape: C[M,N] = dequant(Wq[M,K] * q8(B[K,N]))
-// + bias[row i], then ReLU when `relu`. Wq/wscales from quantize_rows_int8;
+// Int8 weights Wq[rows, k] with per-row scales, packed once for `role`:
+// K-quad panels (4 consecutive k per byte lane group, the vpdpbusd shape)
+// per kKC block, plus the dequant terms the epilogue needs.
+struct PackedWeightsQ8 {
+  WeightRole role = WeightRole::kA;
+  int rows = 0;
+  int k = 0;
+  std::vector<std::uint8_t> panels;
+  std::vector<float> scale;  // [padded rows]: per-row scale, 0 on padding
+  std::vector<float> corr;   // [k blocks][padded rows]: scale * block sum(wq)
+};
+
+// Packs Wq[rows, k] (row-major, from quantize_rows_int8) and its per-row
+// scales into `out`, reusing its storage.
+void pack_weights_q8(const std::int8_t* wq, const float* wscales, int rows,
+                     int k, WeightRole role, PackedWeightsQ8& out);
+
+// Quantized convolution forward on pre-packed weights (role kA):
+// C[M,N] = dequant(Wq * q8(B[K,N])) + bias[row i], then ReLU when `relu`.
 // B (the im2col activations) is quantized on the fly during the pack step.
-// `bias` may be nullptr. `pool` shards like gemm_parallel (nullptr = serial);
-// results are bitwise identical for every pool size.
+// `bias` may be nullptr. `pool` shards like gemm_parallel (nullptr =
+// serial); results are bitwise identical for every pool size.
+void gemm_q8_packed_bias_relu(ThreadPool* pool, const PackedWeightsQ8& w,
+                              const float* b, const float* bias, float* c,
+                              int n, bool relu);
+
+// Quantized linear forward on pre-packed weights (role kBt):
+// C[M,N] = dequant(q8(A[M,K]) * Wq^T) + bias[col j], then ReLU when `relu`.
+void gemm_q8_abt_packed_bias_relu(ThreadPool* pool, const float* a,
+                                  const PackedWeightsQ8& w, const float* bias,
+                                  float* c, int m, bool relu);
+
+// One-shot forms of the two above for callers without a layer to own the
+// pack (tests, benches): pack_weights_q8 into a temporary, then the packed
+// GEMM. Wq/wscales from quantize_rows_int8.
 void gemm_q8_bias_relu(ThreadPool* pool, const std::int8_t* wq,
                        const float* wscales, const float* b,
                        const float* bias, float* c, int m, int n, int k,
                        bool relu);
 
-// Quantized linear-forward shape: C[M,N] = dequant(q8(A[M,K]) * Wq[N,K]^T)
-// + bias[col j], then ReLU when `relu`. A (the activations) is quantized on
-// the fly; Wq holds the [Out, In] weight rows as int8.
 void gemm_q8_abt_bias_relu(ThreadPool* pool, const float* a,
                            const std::int8_t* wq, const float* wscales,
                            const float* bias, float* c, int m, int n, int k,

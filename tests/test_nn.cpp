@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <latch>
 #include <sstream>
 #include <thread>
 
@@ -13,6 +15,7 @@
 #include "nn/linear.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/policy_value_net.hpp"
+#include "nn/quantize.hpp"
 #include "nn/serialize.hpp"
 #include "tensor/ops.hpp"
 
@@ -29,7 +32,7 @@ void naive_conv(const Tensor& x, const Param& w, const Param& b, int cin,
     for (int oc = 0; oc < cout; ++oc)
       for (int oy = 0; oy < h; ++oy)
         for (int ox = 0; ox < ww; ++ox) {
-          double acc = b.value[oc];
+          double acc = b.value()[oc];
           for (int ic = 0; ic < cin; ++ic)
             for (int ky = 0; ky < ksize; ++ky)
               for (int kx = 0; kx < ksize; ++kx) {
@@ -40,7 +43,7 @@ void naive_conv(const Tensor& x, const Param& w, const Param& b, int cin,
                           ww +
                       ix];
                 const float wv =
-                    w.value[(static_cast<std::size_t>(oc) * cin + ic) *
+                    w.value()[(static_cast<std::size_t>(oc) * cin + ic) *
                                 ksize * ksize +
                             ky * ksize + kx];
                 acc += static_cast<double>(xv) * wv;
@@ -48,6 +51,21 @@ void naive_conv(const Tensor& x, const Param& w, const Param& b, int cin,
           y[((static_cast<std::size_t>(n) * cout + oc) * h + oy) * ww + ox] =
               static_cast<float>(acc);
         }
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.numel() == b.numel() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+// True when `a` and `b` predict bit-identical policies and values on x.
+bool same_predictions(const PolicyValueNet& a, const PolicyValueNet& b,
+                      const Tensor& x) {
+  Activations acts_a, acts_b;
+  Tensor pa, va, pb, vb;
+  a.predict(x, acts_a, pa, va);
+  b.predict(x, acts_b, pb, vb);
+  return same_bits(pa, pb) && same_bits(va, vb);
 }
 
 TEST(Conv2d, MatchesNaiveConvolution) {
@@ -146,24 +164,36 @@ TEST(Conv2d, FusedReluMatchesSeparateRelu) {
 
 TEST(Conv2d, BatchedColCacheMatchesPerSampleIm2col) {
   // Training keeps per-sample columns; slicing them out of the batch-major
-  // buffer must reproduce exactly what per-sample im2col produces.
-  Rng rng(16);
-  Conv2d conv("c", 2, 3, 3);
-  conv.init(rng);
-  const int batch = 4, h = 5, w = 6;
-  const int kk = 2 * 3 * 3, hw = h * w;
-  Tensor x = Tensor::randn({batch, 2, h, w}, rng, 1.0f);
-  Tensor y, cache;
-  ConvWorkspace ws;
-  conv.forward(x, y, ws, &cache);
-  ASSERT_EQ(cache.dim(0), batch);
-  std::vector<float> single(static_cast<std::size_t>(kk) * hw);
-  for (int b = 0; b < batch; ++b) {
-    im2col(x.data() + static_cast<std::size_t>(b) * 2 * hw, 2, h, w, 3, 1,
-           single.data());
-    const float* cb = cache.data() + static_cast<std::size_t>(b) * kk * hw;
-    for (std::size_t i = 0; i < single.size(); ++i)
-      ASSERT_EQ(cb[i], single[i]) << "b=" << b << " i=" << i;
+  // buffer must reproduce exactly what per-sample im2col produces. The 1x1
+  // case with a one-byte budget lowers one sample per chunk, where the
+  // sample itself serves as its columns; its output must also match the
+  // whole-batch pass bit for bit.
+  for (const auto [ksize, budget] : {std::pair{3, std::size_t{0}},
+                                     std::pair{1, std::size_t{1}}}) {
+    Rng rng(16);
+    Conv2d conv("c", 2, 3, ksize);
+    conv.init(rng);
+    const int batch = 4, h = 5, w = 6;
+    const int kk = 2 * ksize * ksize, hw = h * w;
+    Tensor x = Tensor::randn({batch, 2, h, w}, rng, 1.0f);
+    Tensor y, cache;
+    ConvWorkspace ws;
+    ws.col_budget_bytes = budget;
+    conv.forward(x, y, ws, &cache);
+    ASSERT_EQ(cache.dim(0), batch);
+    std::vector<float> single(static_cast<std::size_t>(kk) * hw);
+    for (int b = 0; b < batch; ++b) {
+      im2col(x.data() + static_cast<std::size_t>(b) * 2 * hw, 2, h, w, ksize,
+             ksize / 2, single.data());
+      const float* cb = cache.data() + static_cast<std::size_t>(b) * kk * hw;
+      for (std::size_t i = 0; i < single.size(); ++i)
+        ASSERT_EQ(cb[i], single[i]) << "k=" << ksize << " b=" << b
+                                    << " i=" << i;
+    }
+    Tensor y_whole;
+    ConvWorkspace ws_whole;
+    conv.forward(x, y_whole, ws_whole);
+    EXPECT_TRUE(same_bits(y, y_whole)) << "k=" << ksize;
   }
 }
 
@@ -172,7 +202,7 @@ TEST(Linear, FusedReluMatchesSeparateRelu) {
   Linear fc("f", 11, 6);
   fc.init(rng);
   // Non-zero bias so the fused epilogue's bias term is exercised.
-  fc.params()[1]->value.fill_randn(rng, 0.5f);
+  fc.params()[1]->mutable_value().fill_randn(rng, 0.5f);
   Tensor x = Tensor::randn({4, 11}, rng, 1.0f);
   Tensor y_plain, y_fused;
   fc.forward(x, y_plain);
@@ -191,13 +221,41 @@ TEST(Linear, MatchesNaiveAffine) {
   fc.forward(x, y);
   for (int b = 0; b < 3; ++b)
     for (int o = 0; o < 4; ++o) {
-      double acc = fc.weight().value[o * 7];  // placeholder init below
+      double acc = fc.weight().value()[o * 7];  // placeholder init below
       acc = 0;
       for (int i = 0; i < 7; ++i)
         acc += static_cast<double>(x.at2(b, i)) *
-               fc.weight().value[static_cast<std::size_t>(o) * 7 + i];
+               fc.weight().value()[static_cast<std::size_t>(o) * 7 + i];
       ASSERT_NEAR(y.at2(b, o), acc, 1e-4);  // bias is zero after init
     }
+}
+
+TEST(Layers, ForwardAfterInitMatchesFreshLayer) {
+  // init() rewrites weights a layer may already have packed; the next
+  // forward must use the new ones.
+  Rng rng(17);
+  Linear fc("f", 300, 21), fresh_fc("f", 300, 21);
+  Conv2d conv("c", 5, 6, 3), fresh_conv("c", 5, 6, 3);
+  fc.init(rng);
+  conv.init(rng);
+  const Tensor x = Tensor::randn({2, 300}, rng, 1.0f);
+  const Tensor xc = Tensor::randn({2, 5, 6, 6}, rng, 1.0f);
+  Tensor y, y_fresh;
+  ConvWorkspace ws;
+  fc.forward(x, y);
+  conv.forward(xc, y, ws);
+
+  Rng reinit(5), same(5);
+  fc.init(reinit);
+  conv.init(reinit);
+  fresh_fc.init(same);
+  fresh_conv.init(same);
+  fc.forward(x, y);
+  fresh_fc.forward(x, y_fresh);
+  EXPECT_TRUE(same_bits(y, y_fresh)) << "Linear::init";
+  conv.forward(xc, y, ws);
+  fresh_conv.forward(xc, y_fresh, ws);
+  EXPECT_TRUE(same_bits(y, y_fresh)) << "Conv2d::init";
 }
 
 // Finite-difference gradient check for the full network loss. This is the
@@ -236,26 +294,38 @@ TEST(PolicyValueNet, GradientsMatchFiniteDifferences) {
     analytic[pi_idx].assign(p->grad.data(), p->grad.data() + p->numel());
   }
 
+  // Each parameter is also probed at its largest-|gradient| entry, with an
+  // absolute floor below every such gradient (the smallest is ~0.08 for
+  // fc_p.w; the finite-difference error is ~1e-3 at most): a forward pass
+  // that ignored the probe's weight write gives numeric 0 and fails there.
   const float eps = 1e-3f;
+  const float abs_floor = 5e-3f;
   int checked = 0;
   for (std::size_t pi_idx = 0; pi_idx < params.size(); ++pi_idx) {
     Param* p = params[pi_idx];
-    for (std::size_t idx : {std::size_t{0}, p->numel() / 2, p->numel() - 1}) {
-      const float saved = p->value[idx];
-      p->value[idx] = saved + eps;
+    const std::vector<float>& g = analytic[pi_idx];
+    const auto top = static_cast<std::size_t>(
+        std::max_element(g.begin(), g.end(),
+                         [](float lhs, float rhs) {
+                           return std::fabs(lhs) < std::fabs(rhs);
+                         }) -
+        g.begin());
+    for (std::size_t idx :
+         {std::size_t{0}, p->numel() / 2, p->numel() - 1, top}) {
+      const float saved = p->value()[idx];
+      p->mutable_value()[idx] = saved + eps;
       Activations tmp;
       const LossParts up = net.train_step(x, pi, z, tmp);
-      p->value[idx] = saved - eps;
+      p->mutable_value()[idx] = saved - eps;
       const LossParts down = net.train_step(x, pi, z, tmp);
-      p->value[idx] = saved;
+      p->mutable_value()[idx] = saved;
       const float numeric = (up.total - down.total) / (2 * eps);
-      EXPECT_NEAR(analytic[pi_idx][idx], numeric,
-                  5e-2f + 0.05f * std::fabs(numeric))
+      EXPECT_NEAR(g[idx], numeric, abs_floor + 0.05f * std::fabs(numeric))
           << p->name << "[" << idx << "]";
       ++checked;
     }
   }
-  EXPECT_GE(checked, 3 * 16);
+  EXPECT_GE(checked, 4 * 16);
 }
 
 TEST(PolicyValueNet, ForwardShapesAndRanges) {
@@ -321,7 +391,7 @@ TEST(PolicyValueNet, ActionOverrideNarrowsPolicyHead) {
   auto pa = net.params();
   auto pb = twin.params();
   for (std::size_t i = 0; i < pa.size(); ++i) {
-    EXPECT_LT(max_abs_diff(pa[i]->value, pb[i]->value), 1e-9f);
+    EXPECT_LT(max_abs_diff(pa[i]->value(), pb[i]->value()), 1e-9f);
   }
 }
 
@@ -354,6 +424,12 @@ TEST(PolicyValueNet, TrainingReducesLossOnFixedBatch) {
     opt.step();
   }
   EXPECT_LT(final_loss, initial * 0.5f) << "no learning progress";
+
+  // Every step wrote weights the previous train_step had packed; predict()
+  // must see the last write, like a net built fresh with those weights.
+  PolicyValueNet fresh(cfg, 1);
+  fresh.copy_weights_from(net);
+  EXPECT_TRUE(same_predictions(net, fresh, x)) << "SgdOptimizer::step";
 }
 
 TEST(PolicyValueNet, ParameterCountMatchesArchitecture) {
@@ -396,6 +472,10 @@ TEST(Serialization, RoundTripsWeights) {
   PolicyValueNet a(cfg, 100);
   PolicyValueNet b(cfg, 200);  // different init
 
+  Rng rng(3);
+  const Tensor x = Tensor::randn({2, cfg.in_channels, 4, 4}, rng, 1.0f);
+  EXPECT_FALSE(same_predictions(a, b, x));  // b packs its own weights
+
   std::stringstream stream;
   save_net(a, stream);
   load_net(b, stream);
@@ -403,8 +483,9 @@ TEST(Serialization, RoundTripsWeights) {
   auto pa = a.params();
   auto pb = b.params();
   for (std::size_t i = 0; i < pa.size(); ++i) {
-    EXPECT_LT(max_abs_diff(pa[i]->value, pb[i]->value), 1e-9f);
+    EXPECT_LT(max_abs_diff(pa[i]->value(), pb[i]->value()), 1e-9f);
   }
+  EXPECT_TRUE(same_predictions(a, b, x)) << "load_net";
 }
 
 TEST(Serialization, PeekReadsConfig) {
@@ -427,7 +508,7 @@ TEST(Serialization, RejectsMismatchedConfig) {
 TEST(Optimizer, MomentumAccumulates) {
   Param p;
   p.init_shape("w", {1});
-  p.value[0] = 0.0f;
+  p.mutable_value()[0] = 0.0f;
   p.grad[0] = 1.0f;
   SgdConfig cfg;
   cfg.lr = 0.1f;
@@ -435,15 +516,15 @@ TEST(Optimizer, MomentumAccumulates) {
   cfg.weight_decay = 0.0f;
   SgdOptimizer opt({&p}, cfg);
   opt.step();  // v = -0.1, w = -0.1
-  EXPECT_NEAR(p.value[0], -0.1f, 1e-6f);
+  EXPECT_NEAR(p.value()[0], -0.1f, 1e-6f);
   opt.step();  // v = -0.9*0.1 - 0.1 = -0.19, w = -0.29
-  EXPECT_NEAR(p.value[0], -0.29f, 1e-6f);
+  EXPECT_NEAR(p.value()[0], -0.29f, 1e-6f);
 }
 
 TEST(Optimizer, WeightDecayShrinksWeights) {
   Param p;
   p.init_shape("w", {1});
-  p.value[0] = 1.0f;
+  p.mutable_value()[0] = 1.0f;
   p.grad[0] = 0.0f;
   SgdConfig cfg;
   cfg.lr = 0.1f;
@@ -451,21 +532,67 @@ TEST(Optimizer, WeightDecayShrinksWeights) {
   cfg.weight_decay = 0.5f;
   SgdOptimizer opt({&p}, cfg);
   opt.step();
-  EXPECT_NEAR(p.value[0], 1.0f - 0.1f * 0.5f, 1e-6f);
+  EXPECT_NEAR(p.value()[0], 1.0f - 0.1f * 0.5f, 1e-6f);
 }
 
 TEST(PolicyValueNet, CopyWeightsProducesIdenticalOutputs) {
   const NetConfig cfg = NetConfig::tiny(4);
   PolicyValueNet a(cfg, 1), b(cfg, 2);
-  b.copy_weights_from(a);
   Rng rng(3);
   Tensor x = Tensor::randn({1, cfg.in_channels, 4, 4}, rng, 1.0f);
-  Activations acts_a, acts_b;
-  Tensor pa, va, pb, vb;
-  a.predict(x, acts_a, pa, va);
-  b.predict(x, acts_b, pb, vb);
-  EXPECT_LT(max_abs_diff(pa, pb), 1e-9f);
-  EXPECT_FLOAT_EQ(va[0], vb[0]);
+  EXPECT_FALSE(same_predictions(a, b, x));  // b packs its own weights
+  b.copy_weights_from(a);
+  EXPECT_TRUE(same_predictions(a, b, x)) << "copy_weights_from";
+}
+
+TEST(PolicyValueNet, ConcurrentFirstPredictAfterWeightWrite) {
+  // Four threads make the first predict() after a weight write at the same
+  // moment: exactly one repacks each layer, the others must wait for that
+  // pack rather than read a half-written one (run under TSan in CI). Then
+  // the same for an int8 snapshot, whose fp32 head layers pack lazily.
+  constexpr int kThreads = 4;
+  const NetConfig cfg = NetConfig::tiny(5);
+  PolicyValueNet net(cfg, 8);
+  Rng rng(9);
+  const Tensor x = Tensor::randn({1, cfg.in_channels, 5, 5}, rng, 1.0f);
+
+  auto race = [&](const auto& model) {
+    std::vector<Tensor> policies(kThreads), values(kThreads);
+    std::latch start(kThreads);
+    {
+      std::vector<std::jthread> threads;
+      for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+          Activations acts;
+          start.arrive_and_wait();
+          model.predict(x, acts, policies[t], values[t]);
+        });
+      }
+    }
+    return std::pair{policies, values};
+  };
+
+  Activations acts;
+  Tensor policy, value;
+  net.predict(x, acts, policy, value);
+  for (int round = 0; round < 4; ++round) {
+    PolicyValueNet src(cfg, 100 + round);
+    net.copy_weights_from(src);
+    src.predict(x, acts, policy, value);
+    const auto [policies, values] = race(net);
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_TRUE(same_bits(policies[t], policy)) << "round " << round;
+      EXPECT_TRUE(same_bits(values[t], value)) << "round " << round;
+    }
+  }
+
+  const QuantizedPolicyValueNet qnet(net);
+  const auto [policies, values] = race(qnet);
+  qnet.predict(x, acts, policy, value);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(same_bits(policies[t], policy)) << "int8 thread " << t;
+    EXPECT_TRUE(same_bits(values[t], value)) << "int8 thread " << t;
+  }
 }
 
 }  // namespace

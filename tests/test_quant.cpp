@@ -202,9 +202,18 @@ void reference_q8_conv(const std::vector<std::int8_t>& wq,
 }
 
 TEST(Q8Gemm, MatchesBitExactReference) {
+  // The k = 513 rows add the pack-once inputs: M across the kMR/kMC tiles,
+  // several kKC blocks, ragged N. Each shape also runs on weights packed
+  // once (pack_weights_q8), serial and sharded, with and without ReLU, and
+  // the linear role against its per-call form.
+  WorkerCapGuard cap(8);  // let the 3-worker pool shard on small hosts
+  ThreadPool pool(3);
   for (const auto [m, n, k] :
        {std::tuple{5, 19, 30}, std::tuple{33, 40, 300},
-        std::tuple{64, 80, 513}}) {
+        std::tuple{64, 80, 513}, std::tuple{1, 47, 513},
+        std::tuple{2, 47, 513}, std::tuple{3, 47, 513},
+        std::tuple{4, 47, 513}, std::tuple{5, 1100, 513},
+        std::tuple{67, 47, 513}}) {
     Rng rng(static_cast<std::uint64_t>(m * 31 + n * 7 + k));
     const auto w = random_vec(static_cast<std::size_t>(m) * k, rng);
     const auto x = random_vec(static_cast<std::size_t>(k) * n, rng);
@@ -212,16 +221,49 @@ TEST(Q8Gemm, MatchesBitExactReference) {
     std::vector<std::int8_t> wq(w.size());
     std::vector<float> ws(m);
     quantize_rows_int8(w.data(), m, k, wq.data(), ws.data());
+    PackedWeightsQ8 packed;
+    pack_weights_q8(wq.data(), ws.data(), m, k, WeightRole::kA, packed);
 
+    // Linear role: activation rows x [n, k] weight rows.
+    const auto a = random_vec(static_cast<std::size_t>(m) * k, rng);
+    const auto wt = random_vec(static_cast<std::size_t>(n) * k, rng);
+    const auto cbias = random_vec(static_cast<std::size_t>(n), rng);
+    std::vector<std::int8_t> wtq(wt.size());
+    std::vector<float> wts(n);
+    quantize_rows_int8(wt.data(), n, k, wtq.data(), wts.data());
+    PackedWeightsQ8 packed_t;
+    pack_weights_q8(wtq.data(), wts.data(), n, k, WeightRole::kBt, packed_t);
+
+    const std::size_t bytes = static_cast<std::size_t>(m) * n * sizeof(float);
     std::vector<float> expect(static_cast<std::size_t>(m) * n);
-    reference_q8_conv(wq, ws, x, bias, expect, m, n, k, /*relu=*/true);
-    std::vector<float> got(expect.size(), -3.0f);
-    gemm_q8_bias_relu(nullptr, wq.data(), ws.data(), x.data(), bias.data(),
-                      got.data(), m, n, k, /*relu=*/true);
-    ASSERT_EQ(std::memcmp(got.data(), expect.data(),
-                          got.size() * sizeof(float)),
-              0)
-        << "m=" << m << " n=" << n << " k=" << k;
+    std::vector<float> got(expect.size());
+    for (const bool relu : {true, false}) {
+      reference_q8_conv(wq, ws, x, bias, expect, m, n, k, relu);
+      std::fill(got.begin(), got.end(), -3.0f);
+      gemm_q8_bias_relu(nullptr, wq.data(), ws.data(), x.data(), bias.data(),
+                        got.data(), m, n, k, relu);
+      ASSERT_EQ(std::memcmp(got.data(), expect.data(), bytes), 0)
+          << "m=" << m << " n=" << n << " k=" << k;
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        std::fill(got.begin(), got.end(), -3.0f);
+        gemm_q8_packed_bias_relu(p, packed, x.data(), bias.data(), got.data(),
+                                 n, relu);
+        ASSERT_EQ(std::memcmp(got.data(), expect.data(), bytes), 0)
+            << "packed m=" << m << " n=" << n << " k=" << k
+            << " relu=" << relu << " pool=" << (p != nullptr);
+      }
+
+      gemm_q8_abt_bias_relu(nullptr, a.data(), wtq.data(), wts.data(),
+                            cbias.data(), expect.data(), m, n, k, relu);
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        std::fill(got.begin(), got.end(), -3.0f);
+        gemm_q8_abt_packed_bias_relu(p, a.data(), packed_t, cbias.data(),
+                                     got.data(), m, relu);
+        ASSERT_EQ(std::memcmp(got.data(), expect.data(), bytes), 0)
+            << "packed linear m=" << m << " n=" << n << " k=" << k
+            << " relu=" << relu << " pool=" << (p != nullptr);
+      }
+    }
   }
 }
 
@@ -411,35 +453,43 @@ TEST(QuantizedNet, HeadsFollowTheSpec) {
 TEST(QuantizedNet, CheckpointRoundTripIsBitExact) {
   const NetConfig cfg = NetConfig::tiny(6);
   PolicyValueNet net(cfg, 55);
-  QuantizeSpec spec;
-  spec.policy_head_int8 = true;  // exercise both head representations
-  const QuantizedPolicyValueNet qnet(net, spec);
+  // Both head representations; with the default spec every head layer is
+  // an fp32 fallback the loader writes into a freshly built layer.
+  for (const bool policy_int8 : {true, false}) {
+    QuantizeSpec spec;
+    spec.policy_head_int8 = policy_int8;
+    const QuantizedPolicyValueNet qnet(net, spec);
 
-  std::stringstream stream;
-  save_quantized_net(qnet, stream);
-  const QuantizedPolicyValueNet loaded = load_quantized_net(stream);
+    std::stringstream stream;
+    save_quantized_net(qnet, stream);
+    const QuantizedPolicyValueNet loaded = load_quantized_net(stream);
 
-  EXPECT_EQ(loaded.config(), cfg);
-  EXPECT_EQ(loaded.spec(), spec);
-  // Per-channel scales and int8 payloads survive exactly.
-  EXPECT_EQ(loaded.conv1().wq(), qnet.conv1().wq());
-  EXPECT_EQ(loaded.conv1().wscale(), qnet.conv1().wscale());
-  EXPECT_EQ(loaded.conv3().wscale(), qnet.conv3().wscale());
-  ASSERT_TRUE(loaded.qfc_p().has_value());
-  EXPECT_EQ(loaded.qfc_p()->wscale(), qnet.qfc_p()->wscale());
+    EXPECT_EQ(loaded.config(), cfg);
+    EXPECT_EQ(loaded.spec(), spec);
+    // Per-channel scales and int8 payloads survive exactly.
+    EXPECT_EQ(loaded.conv1().wq(), qnet.conv1().wq());
+    EXPECT_EQ(loaded.conv1().wscale(), qnet.conv1().wscale());
+    EXPECT_EQ(loaded.conv3().wscale(), qnet.conv3().wscale());
+    ASSERT_EQ(loaded.qfc_p().has_value(), policy_int8);
+    if (policy_int8) {
+      EXPECT_EQ(loaded.qfc_p()->wscale(), qnet.qfc_p()->wscale());
+    }
 
-  // Same weights + deterministic kernels => bitwise-identical predictions.
-  Rng rng(23);
-  const Tensor x = random_input(cfg, 4, rng);
-  Activations acts_a, acts_b;
-  Tensor pa, va, pb, vb;
-  qnet.predict(x, acts_a, pa, va);
-  loaded.predict(x, acts_b, pb, vb);
-  ASSERT_EQ(pa.numel(), pb.numel());
-  ASSERT_EQ(std::memcmp(pa.data(), pb.data(), pa.numel() * sizeof(float)),
-            0);
-  ASSERT_EQ(std::memcmp(va.data(), vb.data(), va.numel() * sizeof(float)),
-            0);
+    // Same weights + deterministic kernels => bitwise-identical predictions.
+    Rng rng(23);
+    const Tensor x = random_input(cfg, 4, rng);
+    Activations acts_a, acts_b;
+    Tensor pa, va, pb, vb;
+    qnet.predict(x, acts_a, pa, va);
+    loaded.predict(x, acts_b, pb, vb);
+    ASSERT_EQ(pa.numel(), pb.numel());
+    ASSERT_EQ(std::memcmp(pa.data(), pb.data(), pa.numel() * sizeof(float)),
+              0)
+        << "policy_int8=" << policy_int8;
+    ASSERT_EQ(std::memcmp(va.data(), vb.data(), va.numel() * sizeof(float)),
+              0)
+        << "policy_int8=" << policy_int8;
+  }
 }
 
 TEST(QuantizedNet, NetEvaluatorServesInt8) {

@@ -301,8 +301,13 @@ TEST(SharedTt, ContendedTinyTableStaysConsistent) {
   EXPECT_EQ(s.probes, static_cast<std::uint64_t>(kThreads) * kIters);
   EXPECT_EQ(s.hits, grafted.load());
   EXPECT_GT(s.stores + s.merges + s.dropped, 0u);
-  // Post-race sanity: the table still round-trips.
-  const TtEdge edges[1] = {make_edge(0, 1.0f)};
+  // Post-race sanity: the table still round-trips. The entry carries visit
+  // mass so the replacement policy must admit it: a visitless depth-1 store
+  // is rightly dropped when the race leaves its bucket full of fresh
+  // depth-0/1 entries, which made this check flaky under load.
+  TtEdge edge = make_edge(0, 1.0f);
+  edge.visits = 1000;
+  const TtEdge edges[1] = {edge};
   tt.store(0x5151ULL, 0.5f, 1, edges, 1, false);
   TtView view;
   EXPECT_EQ(tt.probe(0x5151ULL, view), TtProbeResult::kHit);

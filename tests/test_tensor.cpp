@@ -171,15 +171,91 @@ TEST(Gemm, ParallelBitwiseEqualsSerial) {
               0)
         << "m=" << m << " n=" << n << " k=" << k;
 
-    // Fused-epilogue parallel path as well.
+    // Fused-epilogue parallel path as well (the conv forward shape, on
+    // weights packed once).
     const auto bias = random_vec(static_cast<std::size_t>(m), rng);
     gemm_bias_relu(a.data(), b.data(), bias.data(), serial.data(), m, n, k,
                    true);
-    gemm_bias_relu_parallel(&pool, a.data(), b.data(), bias.data(),
-                            threaded.data(), m, n, k, true);
+    PackedWeights packed;
+    pack_weights(a.data(), m, k, WeightRole::kA, packed);
+    gemm_packed_bias_relu(&pool, packed, b.data(), bias.data(),
+                          threaded.data(), n, true);
     ASSERT_EQ(std::memcmp(serial.data(), threaded.data(),
                           serial.size() * sizeof(float)),
               0);
+  }
+}
+
+// Restores the auto-detected worker cap when a test body returns or throws.
+struct WorkerCapGuard {
+  explicit WorkerCapGuard(int cap) { set_gemm_worker_cap_for_testing(cap); }
+  ~WorkerCapGuard() { set_gemm_worker_cap_for_testing(0); }
+};
+
+TEST(Gemm, PackedWeightsBitwiseEqualPerCallPack) {
+  // Weights packed once must give bit for bit what the per-call pack gives,
+  // for both roles (conv A panels, linear B panels), across the kMR/kMC
+  // row tiles, several kKC blocks (k = 513), ragged N, both epilogues and
+  // the sharded driver. And because row i of C depends only on row i of
+  // the row-side operand, each row computed alone (a one-row tile: the
+  // row-vector kernel) must equal the same row computed inside a full
+  // 4x16 tile.
+  WorkerCapGuard cap(8);  // let the 3-worker pool shard on small hosts
+  ThreadPool pool(3);
+  const int k = 513;
+  for (const int n : {47, 1100}) {
+    for (const int m : {1, 2, 3, 4, 5, 67}) {
+      Rng rng(static_cast<std::uint64_t>(m * 7919 + n));
+      const auto act = random_vec(static_cast<std::size_t>(m) * k, rng);
+      const auto w_lin = random_vec(static_cast<std::size_t>(n) * k, rng);
+      const auto b_lin = random_vec(static_cast<std::size_t>(n), rng);
+      const auto w_conv = random_vec(static_cast<std::size_t>(m) * k, rng);
+      const auto col = random_vec(static_cast<std::size_t>(k) * n, rng);
+      const auto b_conv = random_vec(static_cast<std::size_t>(m), rng);
+      PackedWeights lin, conv;
+      pack_weights(w_lin.data(), n, k, WeightRole::kBt, lin);
+      pack_weights(w_conv.data(), m, k, WeightRole::kA, conv);
+
+      const std::size_t out = static_cast<std::size_t>(m) * n;
+      std::vector<float> expect(out), got(out), row(n);
+      for (const bool relu : {false, true}) {
+        gemm_abt_bias_relu(act.data(), w_lin.data(), b_lin.data(),
+                           expect.data(), m, n, k, relu);
+        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+          std::fill(got.begin(), got.end(), -7.0f);
+          gemm_abt_packed_bias_relu(p, act.data(), lin, b_lin.data(),
+                                    got.data(), m, relu);
+          ASSERT_EQ(std::memcmp(got.data(), expect.data(), out * 4), 0)
+              << "linear m=" << m << " n=" << n << " relu=" << relu
+              << " pool=" << (p != nullptr);
+        }
+        for (int i = 0; i < m; ++i) {
+          gemm_abt_packed_bias_relu(nullptr, act.data() + i * k, lin,
+                                    b_lin.data(), row.data(), 1, relu);
+          ASSERT_EQ(std::memcmp(row.data(), expect.data() + i * n, n * 4), 0)
+              << "linear row " << i << " of m=" << m << " n=" << n;
+        }
+
+        gemm_bias_relu(w_conv.data(), col.data(), b_conv.data(),
+                       expect.data(), m, n, k, relu);
+        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+          std::fill(got.begin(), got.end(), -7.0f);
+          gemm_packed_bias_relu(p, conv, col.data(), b_conv.data(),
+                                got.data(), n, relu);
+          ASSERT_EQ(std::memcmp(got.data(), expect.data(), out * 4), 0)
+              << "conv m=" << m << " n=" << n << " relu=" << relu
+              << " pool=" << (p != nullptr);
+        }
+        PackedWeights one;
+        for (int i = 0; i < m; ++i) {
+          pack_weights(w_conv.data() + i * k, 1, k, WeightRole::kA, one);
+          gemm_packed_bias_relu(nullptr, one, col.data(), b_conv.data() + i,
+                                row.data(), n, relu);
+          ASSERT_EQ(std::memcmp(row.data(), expect.data() + i * n, n * 4), 0)
+              << "conv row " << i << " of m=" << m << " n=" << n;
+        }
+      }
+    }
   }
 }
 
