@@ -1,8 +1,9 @@
-// GEMM kernel micro-bench: the seed scalar kernel vs the packed 4x16
-// register-blocked kernel, the int8 quantized kernel vs the fp32 packed
-// kernel, the fused bias+ReLU epilogue, batch-1 linear layers on per-call
-// vs pack-once weights, ParallelGemm scaling, and the end-to-end
-// PolicyValueNet batch sweep (fp32 and int8). Writes a JSON
+// GEMM kernel micro-bench: the seed scalar kernel vs the packed
+// register-blocked kernel (8x16 with AVX-512, 4x16 otherwise), the int8
+// quantized kernel vs the fp32 packed kernel, the fused bias+ReLU
+// epilogue, batch-1 linear layers on per-call vs pack-once weights,
+// ParallelGemm scaling, and the end-to-end PolicyValueNet batch sweep
+// (fp32 and int8). Writes a JSON
 // baseline (default BENCH_gemm.json, or argv[1]) so kernel regressions are
 // diffable — the ISSUE-1 acceptance numbers (single-thread GFLOP/s uplift
 // at 256^3, batch-64 vs batch-1 per-position latency) and the ISSUE-6

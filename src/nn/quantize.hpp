@@ -78,7 +78,7 @@ class QuantizedConv2d {
   std::vector<std::int8_t> wq_;  // [Cout, Cin*k*k]
   std::vector<float> wscale_;    // [Cout]
   std::vector<float> bias_;      // [Cout]
-  PackedWeightsQ8 packed_;       // wq_ as kMR-row A panels
+  PackedWeightsQ8 packed_;       // wq_ as 4-row K-quad A panels
 };
 
 // Inference-only fully connected layer with per-output-channel int8

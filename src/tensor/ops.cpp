@@ -21,21 +21,28 @@ namespace {
 // GEMM blocking. The micro-kernel computes an MR x NR tile of C with the
 // accumulators held in registers across the whole K loop; the packing
 // blocks are sized so one B panel (KC x NR floats = 16 KB) lives in L1 and
-// one packed A block (MC x KC = 64 KB) in L2.
+// one packed A block (MC x KC = 64 KB) in L2. The fp32 tile height is a
+// build-time ISA choice: 8 rows of one 16-lane zmm accumulator each with
+// AVX-512 (8 of its 32 registers), else 4 rows — two ymm per row on AVX2.
+#if defined(__AVX512F__)
+constexpr int kMR = 8;
+#else
 constexpr int kMR = 4;
+#endif
 constexpr int kNR = 16;
+constexpr int kQ8MR = 4;   // int8 tile rows: one vpdpbusd broadcast per row
 constexpr int kMC = 64;    // rows of C per packed-A block == parallel grain
 constexpr int kKC = 256;   // K depth per packing pass
 constexpr int kNC = 1024;  // columns of C per packed-B block
 
 // Per-thread packing buffers (sized once, reused across calls).
-template <typename T>
-T* pack_buffer(std::vector<T>& buf, std::size_t n) {
+template <typename Vec>
+auto* pack_buffer(Vec& buf, std::size_t n) {
   if (buf.size() < n) buf.resize(n);
   return buf.data();
 }
-thread_local std::vector<float> tl_apack;
-thread_local std::vector<float> tl_bpack;
+thread_local PanelVector<float> tl_apack;
+thread_local PanelVector<float> tl_bpack;
 
 // --- ParallelGemm regression guard ------------------------------------------
 // A pool bigger than the machine only adds contention (BENCH_gemm's
@@ -75,34 +82,29 @@ int plan_gemm_workers(const ThreadPool* pool, int m, int n, int k) {
 }
 
 // Packs an mc x kc block of A into kMR-row panels: panel ip holds rows
-// [ip*MR, ip*MR+MR) transposed to ap[p*MR + r], zero-padded past mc so the
-// micro-kernel never branches on the row remainder.
+// [ip*MR, ip*MR+MR) transposed to ap[p*MR + r]. A trailing panel of
+// rows < kMR rows is packed just as wide (ap[p*rows + r]), the layout the
+// tail kernel reads, so no row is padded: the block is exactly mc*kc floats.
 void pack_a(const float* a, int lda, int mc, int kc, float* dst) {
-  const int panels = (mc + kMR - 1) / kMR;
-  for (int ip = 0; ip < panels; ++ip) {
-    const int rows = std::min(kMR, mc - ip * kMR);
-    const float* src = a + static_cast<std::size_t>(ip) * kMR * lda;
-    float* d = dst + static_cast<std::size_t>(ip) * kc * kMR;
-    for (int p = 0; p < kc; ++p) {
+  for (int i0 = 0; i0 < mc; i0 += kMR) {
+    const int rows = std::min(kMR, mc - i0);
+    const float* src = a + static_cast<std::size_t>(i0) * lda;
+    float* d = dst + static_cast<std::size_t>(i0) * kc;
+    for (int p = 0; p < kc; ++p)
       for (int r = 0; r < rows; ++r)
-        d[p * kMR + r] = src[static_cast<std::size_t>(r) * lda + p];
-      for (int r = rows; r < kMR; ++r) d[p * kMR + r] = 0.0f;
-    }
+        d[p * rows + r] = src[static_cast<std::size_t>(r) * lda + p];
   }
 }
 
 // Same panels from an A stored transposed ([K, M] row-major): rows of the
 // logical A block are contiguous in the source, so this is a strided copy.
 void pack_a_t(const float* at, int ldat, int mc, int kc, float* dst) {
-  const int panels = (mc + kMR - 1) / kMR;
-  for (int ip = 0; ip < panels; ++ip) {
-    const int rows = std::min(kMR, mc - ip * kMR);
-    const float* src = at + static_cast<std::size_t>(ip) * kMR;
-    float* d = dst + static_cast<std::size_t>(ip) * kc * kMR;
+  for (int i0 = 0; i0 < mc; i0 += kMR) {
+    const int rows = std::min(kMR, mc - i0);
+    float* d = dst + static_cast<std::size_t>(i0) * kc;
     for (int p = 0; p < kc; ++p) {
-      const float* srow = src + static_cast<std::size_t>(p) * ldat;
-      for (int r = 0; r < rows; ++r) d[p * kMR + r] = srow[r];
-      for (int r = rows; r < kMR; ++r) d[p * kMR + r] = 0.0f;
+      const float* srow = at + static_cast<std::size_t>(p) * ldat + i0;
+      for (int r = 0; r < rows; ++r) d[p * rows + r] = srow[r];
     }
   }
 }
@@ -140,68 +142,40 @@ void pack_b_t(const float* bt, int ldbt, int kc, int nc, float* dst) {
   }
 }
 
-// 4x16 register-blocked micro-kernel: acc[4][16] += Ap * Bp over kc, the
-// 8 accumulators (4 rows x 2 vectors) held in registers across the whole K
-// loop. GCC's auto-vectoriser rejects this shape as "not profitable", so
-// the vectors are spelled out with the GCC/Clang vector extension — 8-lane
-// ops lower to AVX/NEON as available. There is no zero-skip branch (it
-// defeats unrolling and costs more than it saves on dense panels).
-#if defined(__GNUC__) || defined(__clang__)
-using v8f = float __attribute__((vector_size(32), aligned(4)));
+// The fp32 micro-kernel: R rows of an A panel (ap[p*R + r]) against P
+// consecutive 16-lane B panels (panel_stride floats apart), one 16-lane
+// accumulator per (row, panel) held in registers across the whole K loop.
+// acc receives P [R][kNR] tiles back to back. The vectors are spelled out
+// with the GCC/Clang vector extension because the auto-vectoriser rejects
+// this shape; a 16-lane op lowers to one zmm op with AVX-512, two ymm ops
+// with AVX2, four xmm ops on baseline x86-64. Every lane runs the same
+// chain c += a * b over k whatever R and P are (contracted to one fused
+// multiply-add where the target has FMA), so a row of C is bitwise the
+// same computed in a full tile, in a tail tile or alone. There is no
+// zero-skip branch (it defeats unrolling and costs more than it saves on
+// dense panels).
+using v16f = float __attribute__((vector_size(64), aligned(4)));
 
-void micro_kernel_4x16(const float* __restrict ap, const float* __restrict bp,
-                       int kc, float* __restrict acc) {
-  v8f c00{}, c01{}, c10{}, c11{}, c20{}, c21{}, c30{}, c31{};
+template <int R, int P>
+void micro_kernel(const float* __restrict ap, const float* __restrict bp,
+                  std::size_t panel_stride, int kc, float* __restrict acc) {
+  v16f c[P][R] = {};
   for (int p = 0; p < kc; ++p) {
-    // memcpy loads keep the panel reads unaligned-safe and avoid passing
-    // vector types across function boundaries (-Wpsabi on non-AVX builds).
-    v8f b0, b1;
-    std::memcpy(&b0, bp + static_cast<std::size_t>(p) * kNR, sizeof(b0));
-    std::memcpy(&b1, bp + static_cast<std::size_t>(p) * kNR + 8, sizeof(b1));
-    const float a0 = ap[p * kMR + 0];
-    const float a1 = ap[p * kMR + 1];
-    const float a2 = ap[p * kMR + 2];
-    const float a3 = ap[p * kMR + 3];
-    c00 += a0 * b0;
-    c01 += a0 * b1;
-    c10 += a1 * b0;
-    c11 += a1 * b1;
-    c20 += a2 * b0;
-    c21 += a2 * b1;
-    c30 += a3 * b0;
-    c31 += a3 * b1;
+    // memcpy loads read the float panels without type punning and avoid
+    // passing vector types across function boundaries (-Wpsabi on non-AVX
+    // builds).
+    const float* bk = bp + static_cast<std::size_t>(p) * kNR;
+    v16f b[P];
+    for (int q = 0; q < P; ++q) {
+      std::memcpy(&b[q], bk + q * panel_stride, sizeof(v16f));
+    }
+    for (int r = 0; r < R; ++r) {
+      const float a = ap[p * R + r];
+      for (int q = 0; q < P; ++q) c[q][r] += a * b[q];
+    }
   }
-  std::memcpy(acc + 0 * kNR, &c00, 32);
-  std::memcpy(acc + 0 * kNR + 8, &c01, 32);
-  std::memcpy(acc + 1 * kNR, &c10, 32);
-  std::memcpy(acc + 1 * kNR + 8, &c11, 32);
-  std::memcpy(acc + 2 * kNR, &c20, 32);
-  std::memcpy(acc + 2 * kNR + 8, &c21, 32);
-  std::memcpy(acc + 3 * kNR, &c30, 32);
-  std::memcpy(acc + 3 * kNR + 8, &c31, 32);
+  std::memcpy(acc, c, sizeof c);
 }
-#else
-void micro_kernel_4x16(const float* __restrict ap, const float* __restrict bp,
-                       int kc, float* __restrict acc) {
-  float c0[kNR] = {0.0f}, c1[kNR] = {0.0f};
-  float c2[kNR] = {0.0f}, c3[kNR] = {0.0f};
-  for (int p = 0; p < kc; ++p) {
-    const float* __restrict bv = bp + static_cast<std::size_t>(p) * kNR;
-    const float a0 = ap[p * kMR + 0];
-    const float a1 = ap[p * kMR + 1];
-    const float a2 = ap[p * kMR + 2];
-    const float a3 = ap[p * kMR + 3];
-    for (int j = 0; j < kNR; ++j) c0[j] += a0 * bv[j];
-    for (int j = 0; j < kNR; ++j) c1[j] += a1 * bv[j];
-    for (int j = 0; j < kNR; ++j) c2[j] += a2 * bv[j];
-    for (int j = 0; j < kNR; ++j) c3[j] += a3 * bv[j];
-  }
-  std::memcpy(acc + 0 * kNR, c0, sizeof(c0));
-  std::memcpy(acc + 1 * kNR, c1, sizeof(c1));
-  std::memcpy(acc + 2 * kNR, c2, sizeof(c2));
-  std::memcpy(acc + 3 * kNR, c3, sizeof(c3));
-}
-#endif
 
 // Writes one micro-tile into C. `first` selects store vs accumulate for the
 // leading K block; `last` applies the fused bias/ReLU epilogue once the full
@@ -249,84 +223,47 @@ struct TileStore {
   }
 };
 
-// Row-vector micro-kernel for a tile with R < kMR live rows: the R rows
-// against P consecutive B panels (panel_stride floats apart), so a batch-1
-// layer keeps P*2 vector FMAs in flight instead of running a 4-row tile
-// with one live row. Every accumulator lane runs the same multiply-add
-// chain as micro_kernel_4x16, so each row is bitwise equal to that row of
-// a 4x16 tile. acc receives P [R][kNR] tiles back to back.
-#if defined(__GNUC__) || defined(__clang__)
+// The P-wide kernel call, narrowed to the np <= P panels left.
 template <int R, int P>
-void micro_kernel_rows(const float* __restrict ap, const float* __restrict bp,
-                       std::size_t panel_stride, int kc,
-                       float* __restrict acc) {
-  v8f c[P][R][2] = {};
-  for (int p = 0; p < kc; ++p) {
-    for (int q = 0; q < P; ++q) {
-      const float* bq =
-          bp + q * panel_stride + static_cast<std::size_t>(p) * kNR;
-      v8f b0, b1;
-      std::memcpy(&b0, bq, sizeof(b0));
-      std::memcpy(&b1, bq + 8, sizeof(b1));
-      for (int r = 0; r < R; ++r) {
-        const float a = ap[p * kMR + r];
-        c[q][r][0] += a * b0;
-        c[q][r][1] += a * b1;
-      }
+void micro_kernel_upto(int np, const float* ap, const float* bp,
+                       std::size_t panel_stride, int kc, float* acc) {
+  if constexpr (P > 1) {
+    if (np < P) {
+      return micro_kernel_upto<R, P - 1>(np, ap, bp, panel_stride, kc, acc);
     }
   }
-  for (int q = 0; q < P; ++q) {
-    for (int r = 0; r < R; ++r) {
-      std::memcpy(acc + (q * R + r) * kNR, &c[q][r][0], 32);
-      std::memcpy(acc + (q * R + r) * kNR + 8, &c[q][r][1], 32);
-    }
-  }
+  micro_kernel<R, P>(ap, bp, panel_stride, kc, acc);
 }
-#else
-template <int R, int P>
-void micro_kernel_rows(const float* __restrict ap, const float* __restrict bp,
-                       std::size_t panel_stride, int kc,
-                       float* __restrict acc) {
-  float c[P][R][kNR] = {};
-  for (int p = 0; p < kc; ++p) {
-    for (int q = 0; q < P; ++q) {
-      const float* bq =
-          bp + q * panel_stride + static_cast<std::size_t>(p) * kNR;
-      for (int r = 0; r < R; ++r) {
-        const float a = ap[p * kMR + r];
-        for (int j = 0; j < kNR; ++j) c[q][r][j] += a * bq[j];
-      }
-    }
-  }
-  std::memcpy(acc, c, sizeof c);
-}
-#endif
 
-// The R trailing rows of an m-block: P B panels per row-vector kernel call,
-// then one panel at a time for the remainder.
-template <int R, int P>
-void row_tiles(const float* ap, const float* bpack, int kc, int nc, int i0,
-               int jc, const TileStore& store) {
+// The `rows` < kMR trailing rows of an m-block, dispatched down from R =
+// kMR - 1. A short tile keeps the FMA pipes full by taking P = min(4,
+// kMR / R) B panels per call (R * P accumulators, never more than a full
+// tile's kMR), and the panels left over run as one narrower call.
+template <int R>
+void tail_tiles(int rows, const float* ap, const float* bpack, int kc, int nc,
+                int i0, int jc, const TileStore& store) {
+  if constexpr (R > 1) {
+    if (rows < R) {
+      return tail_tiles<R - 1>(rows, ap, bpack, kc, nc, i0, jc, store);
+    }
+  }
+  constexpr int P = std::min(4, kMR / R);
   const int n_panels = (nc + kNR - 1) / kNR;
   const std::size_t stride = static_cast<std::size_t>(kc) * kNR;
   float acc[P * R * kNR];
-  int jp = 0;
-  for (; jp + P <= n_panels; jp += P) {
-    micro_kernel_rows<R, P>(ap, bpack + jp * stride, stride, kc, acc);
-    for (int q = 0; q < P; ++q) {
+  for (int jp = 0; jp < n_panels; jp += P) {
+    const int np = std::min(P, n_panels - jp);
+    micro_kernel_upto<R, P>(np, ap, bpack + jp * stride, stride, kc, acc);
+    for (int q = 0; q < np; ++q) {
       const int j = (jp + q) * kNR;
       store(acc + q * R * kNR, i0, jc + j, R, std::min(kNR, nc - j));
     }
   }
-  for (; jp < n_panels; ++jp) {
-    micro_kernel_rows<R, 1>(ap, bpack + jp * stride, stride, kc, acc);
-    store(acc, i0, jc + jp * kNR, R, std::min(kNR, nc - jp * kNR));
-  }
 }
 
 // Every micro-tile of one (m-block, column range, K block): whole kMR-row
-// panels on the 4x16 kernel, a trailing partial panel on the row-vector
-// kernel chosen by its live row count.
+// panels on the full tile, B panel outermost so it stays in L1, then the
+// trailing partial panel on the tail kernel.
 void compute_block(const float* apack, const float* bpack, int kc, int mc,
                    int nc, int i0, int jc, const TileStore& store) {
   const int n_panels = (nc + kNR - 1) / kNR;
@@ -336,18 +273,14 @@ void compute_block(const float* apack, const float* bpack, int kc, int mc,
     const float* bp = bpack + static_cast<std::size_t>(jp) * kc * kNR;
     const int nr = std::min(kNR, nc - jp * kNR);
     for (int ip = 0; ip < full; ++ip) {
-      micro_kernel_4x16(apack + static_cast<std::size_t>(ip) * kc * kMR, bp,
-                        kc, acc);
+      micro_kernel<kMR, 1>(apack + static_cast<std::size_t>(ip) * kc * kMR,
+                           bp, 0, kc, acc);
       store(acc, i0 + ip * kMR, jc + jp * kNR, kMR, nr);
     }
   }
-  const float* ap = apack + static_cast<std::size_t>(full) * kc * kMR;
-  const int i_tail = i0 + full * kMR;
-  switch (mc - full * kMR) {
-    case 1: row_tiles<1, 4>(ap, bpack, kc, nc, i_tail, jc, store); break;
-    case 2: row_tiles<2, 2>(ap, bpack, kc, nc, i_tail, jc, store); break;
-    case 3: row_tiles<3, 1>(ap, bpack, kc, nc, i_tail, jc, store); break;
-    default: break;
+  if (const int rows = mc - full * kMR; rows > 0) {
+    tail_tiles<kMR - 1>(rows, apack + static_cast<std::size_t>(full) * kc * kMR,
+                        bpack, kc, nc, i0 + full * kMR, jc, store);
   }
 }
 
@@ -372,9 +305,9 @@ void gemm_region(ThreadPool* pool, const Operand& a, const Operand& b,
                  int n, int k, bool accumulate, bool relu, int jc_begin,
                  int jc_end) {
   const int m_blocks = (m + kMC - 1) / kMC;
-  // Rows (A) / columns (B) of one K block of a pre-packed operand, padded
-  // to whole panels.
-  const auto a_rows = static_cast<std::size_t>((m + kMR - 1) / kMR * kMR);
+  // Rows (A) / columns (B) of one K block of a pre-packed operand; B is
+  // padded to whole panels, A (tail panel packed as wide as its rows) not.
+  const auto a_rows = static_cast<std::size_t>(m);
   const auto b_cols = static_cast<std::size_t>((n + kNR - 1) / kNR * kNR);
   for (int jc = jc_begin; jc < jc_end; jc += kNC) {
     const int nc = std::min(kNC, jc_end - jc);
@@ -406,9 +339,8 @@ void gemm_region(ThreadPool* pool, const Operand& a, const Operand& b,
           if (a.panels != nullptr) {
             apack = a.panels + kc0 * a_rows + static_cast<std::size_t>(i0) * kc;
           } else {
-            const int m_panels = (mc + kMR - 1) / kMR;
-            float* buf = pack_buffer(
-                tl_apack, static_cast<std::size_t>(m_panels) * kc * kMR);
+            float* buf = pack_buffer(tl_apack,
+                                     static_cast<std::size_t>(mc) * kc);
             if (a.trans) {
               pack_a_t(a.data + static_cast<std::size_t>(kc0) * m + i0, m,
                        mc, kc, buf);
@@ -482,7 +414,7 @@ void gemm_driver(ThreadPool* pool, const Operand& a, const Operand& b,
 }
 
 // --- int8 quantized GEMM ----------------------------------------------------
-// Same blocking skeleton as the fp32 driver (kMC/kKC/kNC, kMR x kNR tiles),
+// Same blocking skeleton as the fp32 driver (kMC/kKC/kNC, kQ8MR x kNR tiles),
 // but the panels hold 8-bit integers grouped in K-quads of 4 — the shape
 // vpdpbusd consumes: one 64-byte panel vector is 16 lanes x 4 consecutive
 // K steps. The weight side is pre-quantized signed int8 with a per-row
@@ -574,19 +506,19 @@ void pack_act_cols_q8(const float* b, int ldb, int kc, int nc, int kq,
   }
 }
 
-// Activation rows (the linear A side, contiguous in K): kMR-row K-quad
-// panels dst[ip][(p/4)*kMR*4 + r*4 + p%4] with per-row scale/offset.
+// Activation rows (the linear A side, contiguous in K): kQ8MR-row K-quad
+// panels dst[ip][(p/4)*kQ8MR*4 + r*4 + p%4] with per-row scale/offset.
 void pack_act_rows_q8(const float* a, int lda, int mc, int kc, int kq,
                       std::uint8_t* dst, float* scale, float* off) {
-  const int panels = (mc + kMR - 1) / kMR;
+  const int panels = (mc + kQ8MR - 1) / kQ8MR;
   for (int ip = 0; ip < panels; ++ip) {
-    std::uint8_t* d = dst + static_cast<std::size_t>(ip) * kq * kMR * 4;
-    for (int r = 0; r < kMR; ++r) {
-      const int rr = ip * kMR + r;
-      const int lane = ip * kMR + r;
+    std::uint8_t* d = dst + static_cast<std::size_t>(ip) * kq * kQ8MR * 4;
+    for (int r = 0; r < kQ8MR; ++r) {
+      const int rr = ip * kQ8MR + r;
+      const int lane = ip * kQ8MR + r;
       if (rr >= mc) {
         for (int q = 0; q < kq; ++q)
-          for (int t = 0; t < 4; ++t) d[(q * kMR + r) * 4 + t] = 0;
+          for (int t = 0; t < 4; ++t) d[(q * kQ8MR + r) * 4 + t] = 0;
         scale[lane] = 0.0f;
         off[lane] = 0.0f;
         continue;
@@ -602,43 +534,43 @@ void pack_act_rows_q8(const float* a, int lda, int mc, int kc, int kq,
       scale[lane] = range / 255.0f;
       off[lane] = lo;
       for (int p = 0; p < kc; ++p) {
-        d[(p >> 2) * kMR * 4 + r * 4 + (p & 3)] = static_cast<std::uint8_t>(
+        d[(p >> 2) * kQ8MR * 4 + r * 4 + (p & 3)] = static_cast<std::uint8_t>(
             static_cast<int>((src[p] - lo) * inv + 0.5f));
       }
       for (int p = kc; p < kq * 4; ++p) {
-        d[(p >> 2) * kMR * 4 + r * 4 + (p & 3)] = 0;
+        d[(p >> 2) * kQ8MR * 4 + r * 4 + (p & 3)] = 0;
       }
     }
   }
 }
 
 // One K block of pre-quantized weight rows as the A side (conv: Wq[M,K]):
-// kMR-row K-quad panels plus the per-row block sum of wq (the dequant
+// kQ8MR-row K-quad panels plus the per-row block sum of wq (the dequant
 // correction term).
 void pack_wq_rows_a(const std::int8_t* wq, int ldw, int mc, int kc, int kq,
                     std::uint8_t* dst, std::int32_t* wqsum) {
-  const int panels = (mc + kMR - 1) / kMR;
+  const int panels = (mc + kQ8MR - 1) / kQ8MR;
   for (int ip = 0; ip < panels; ++ip) {
-    std::uint8_t* d = dst + static_cast<std::size_t>(ip) * kq * kMR * 4;
-    for (int r = 0; r < kMR; ++r) {
-      const int rr = ip * kMR + r;
+    std::uint8_t* d = dst + static_cast<std::size_t>(ip) * kq * kQ8MR * 4;
+    for (int r = 0; r < kQ8MR; ++r) {
+      const int rr = ip * kQ8MR + r;
       std::int32_t s = 0;
       if (rr >= mc) {
         for (int q = 0; q < kq; ++q)
-          for (int t = 0; t < 4; ++t) d[(q * kMR + r) * 4 + t] = 0;
+          for (int t = 0; t < 4; ++t) d[(q * kQ8MR + r) * 4 + t] = 0;
       } else {
         const std::int8_t* src = wq + static_cast<std::size_t>(rr) * ldw;
         for (int p = 0; p < kc; ++p) {
           const std::int8_t v = src[p];
           s += v;
-          d[(p >> 2) * kMR * 4 + r * 4 + (p & 3)] =
+          d[(p >> 2) * kQ8MR * 4 + r * 4 + (p & 3)] =
               static_cast<std::uint8_t>(v);
         }
         for (int p = kc; p < kq * 4; ++p) {
-          d[(p >> 2) * kMR * 4 + r * 4 + (p & 3)] = 0;
+          d[(p >> 2) * kQ8MR * 4 + r * 4 + (p & 3)] = 0;
         }
       }
-      wqsum[ip * kMR + r] = s;
+      wqsum[ip * kQ8MR + r] = s;
     }
   }
 }
@@ -677,7 +609,7 @@ void pack_wq_rows_b(const std::int8_t* wq, int ldw, int kc, int nc, int kq,
 // 4x16 int8 micro-kernel over kq K-quads: acc[4][16] (int32) = sum of
 // u8 x s8 byte products. kPanelUnsigned selects which operand holds the
 // unsigned activation bytes: true = the kNR-lane panel (conv), false = the
-// kMR-row broadcast side (linear). Both kernels produce exact integer sums,
+// kQ8MR-row broadcast side (linear). Both kernels produce exact integer sums,
 // so they are interchangeable bit-for-bit.
 #if defined(APM_Q8_VNNI)
 template <bool kPanelUnsigned>
@@ -691,8 +623,8 @@ void micro_kernel_q8_4x16(const std::uint8_t* __restrict ap,
   for (int q = 0; q < kq; ++q) {
     const __m512i bv =
         _mm512_loadu_si512(bp + static_cast<std::size_t>(q) * kNR * 4);
-    std::int32_t aq[kMR];
-    std::memcpy(aq, ap + static_cast<std::size_t>(q) * kMR * 4, sizeof aq);
+    std::int32_t aq[kQ8MR];
+    std::memcpy(aq, ap + static_cast<std::size_t>(q) * kQ8MR * 4, sizeof aq);
     const __m512i a0 = _mm512_set1_epi32(aq[0]);
     const __m512i a1 = _mm512_set1_epi32(aq[1]);
     const __m512i a2 = _mm512_set1_epi32(aq[2]);
@@ -720,11 +652,11 @@ template <bool kPanelUnsigned>
 void micro_kernel_q8_4x16(const std::uint8_t* __restrict ap,
                           const std::uint8_t* __restrict bp, int kq,
                           std::int32_t* __restrict acc) {
-  std::int32_t c[kMR][kNR] = {};
+  std::int32_t c[kQ8MR][kNR] = {};
   for (int q = 0; q < kq; ++q) {
-    const std::uint8_t* aq = ap + static_cast<std::size_t>(q) * kMR * 4;
+    const std::uint8_t* aq = ap + static_cast<std::size_t>(q) * kQ8MR * 4;
     const std::uint8_t* bq = bp + static_cast<std::size_t>(q) * kNR * 4;
-    for (int r = 0; r < kMR; ++r) {
+    for (int r = 0; r < kQ8MR; ++r) {
       for (int t = 0; t < 4; ++t) {
         const int av = kPanelUnsigned
                            ? static_cast<int>(
@@ -831,7 +763,7 @@ void gemm_q8_region(ThreadPool* pool, const PackedWeightsQ8& w,
         for (int ib = ib0; ib < ib1; ++ib) {
           const int i0 = ib * kMC;
           const int mc = std::min(kMC, m - i0);
-          const int m_panels = (mc + kMR - 1) / kMR;
+          const int m_panels = (mc + kQ8MR - 1) / kQ8MR;
           const std::uint8_t* apack;
           const float* rs;
           const float* rc;
@@ -842,33 +774,33 @@ void gemm_q8_region(ThreadPool* pool, const PackedWeightsQ8& w,
           } else {
             std::uint8_t* buf = pack_buffer(
                 tl_q8_apack,
-                static_cast<std::size_t>(m_panels) * kq * kMR * 4);
+                static_cast<std::size_t>(m_panels) * kq * kQ8MR * 4);
             float* scale = pack_buffer(
-                tl_q8_a_scale, static_cast<std::size_t>(m_panels) * kMR);
-            float* off = pack_buffer(tl_q8_a_corr,
-                                     static_cast<std::size_t>(m_panels) * kMR);
+                tl_q8_a_scale, static_cast<std::size_t>(m_panels) * kQ8MR);
+            float* off = pack_buffer(
+                tl_q8_a_corr, static_cast<std::size_t>(m_panels) * kQ8MR);
             pack_act_rows_q8(act + static_cast<std::size_t>(i0) * k + kc0, k,
                              mc, kc, kq, buf, scale, off);
             apack = buf;
             rs = scale;
             rc = off;
           }
-          std::int32_t acc[kMR * kNR];
+          std::int32_t acc[kQ8MR * kNR];
           for (int jp = 0; jp < n_panels; ++jp) {
             const std::uint8_t* bp =
                 bpack + static_cast<std::size_t>(jp) * kq * kNR * 4;
             const int nr = std::min(kNR, nc - jp * kNR);
             for (int ip = 0; ip < m_panels; ++ip) {
               const std::uint8_t* ap =
-                  apack + static_cast<std::size_t>(ip) * kq * kMR * 4;
-              const int mr = std::min(kMR, mc - ip * kMR);
+                  apack + static_cast<std::size_t>(ip) * kq * kQ8MR * 4;
+              const int mr = std::min(kQ8MR, mc - ip * kQ8MR);
               if (weights_a) {
                 micro_kernel_q8_4x16<true>(ap, bp, kq, acc);
               } else {
                 micro_kernel_q8_4x16<false>(ap, bp, kq, acc);
               }
-              store_tile_q8(c, n, acc, i0 + ip * kMR, jc + jp * kNR, mr, nr,
-                            rs + ip * kMR, cs + jp * kNR, rc + ip * kMR,
+              store_tile_q8(c, n, acc, i0 + ip * kQ8MR, jc + jp * kNR, mr, nr,
+                            rs + ip * kQ8MR, cs + jp * kNR, rc + ip * kQ8MR,
                             cc + jp * kNR, first, last, row_bias, col_bias,
                             relu);
             }
@@ -963,9 +895,11 @@ void gemm_abt_bias_relu(const float* a, const float* b, const float* bias,
 void pack_weights(const float* w, int rows, int k, WeightRole role,
                   PackedWeights& out) {
   APM_CHECK(rows >= 0 && k >= 0);
-  const int width = role == WeightRole::kA ? kMR : kNR;
+  // A panels pack exactly `rows` rows per K block; B panels pad to kNR.
   const std::size_t padded =
-      static_cast<std::size_t>((rows + width - 1) / width) * width;
+      role == WeightRole::kA
+          ? static_cast<std::size_t>(rows)
+          : static_cast<std::size_t>((rows + kNR - 1) / kNR) * kNR;
   out.role = role;
   out.rows = rows;
   out.k = k;
@@ -1017,7 +951,7 @@ void quantize_rows_int8(const float* w, int rows, int k, std::int8_t* wq,
 void pack_weights_q8(const std::int8_t* wq, const float* wscales, int rows,
                      int k, WeightRole role, PackedWeightsQ8& out) {
   APM_CHECK(rows >= 0 && k >= 0);
-  const int width = role == WeightRole::kA ? kMR : kNR;
+  const int width = role == WeightRole::kA ? kQ8MR : kNR;
   const std::size_t padded =
       static_cast<std::size_t>((rows + width - 1) / width) * width;
   const int blocks = (k + kKC - 1) / kKC;

@@ -10,9 +10,12 @@
 // both Linear and (via im2col) Conv2d without materialising transposes.
 //
 // The gemm/gemm_atb family runs on one shared driver: A and B are packed
-// into L1-resident panels and consumed by a 4x16 register-blocked
-// micro-kernel (MR x NR accumulators held across the whole K loop, no
-// per-element branches). The driver optionally
+// into L1-resident panels and consumed by one register-blocked micro-kernel
+// template that computes R rows x P 16-lane B panels with one 16-lane
+// accumulator per (row, panel), held across the whole K loop with no
+// per-element branches. The full tile is kMR x 16: kMR = 8 when the build
+// targets AVX-512 (8 zmm accumulators), 4 otherwise (8 ymm on AVX2) — a
+// build-time ISA choice, not an option. The driver optionally
 //   * fuses a per-row bias broadcast and a ReLU into the store epilogue
 //     (one pass over C instead of GEMM + bias pass + ReLU pass), and
 //   * shards M row-blocks across a ThreadPool (ParallelGemm). Each output
@@ -20,30 +23,37 @@
 //     and accumulation order as the serial path, so threaded and serial
 //     results are bitwise equal.
 //
+// Tail rule. The R < kMR rows left below the last whole tile run the same
+// kernel with P = min(4, kMR / R) B panels per call, so a batch-1 linear
+// layer or a 1-2 channel head conv keeps as many FMAs in flight as a full
+// tile instead of running one with dead rows; the panels left over run as
+// one narrower multi-panel call. A tail's A panel is packed only as wide
+// as its live rows, so no A row is ever zero-filled.
+//
 // Weight-stationary operands. Inference weights are constant between
 // writes, so a layer packs them once (pack_weights / pack_weights_q8) and
 // the *_packed_* entry points consume those panels directly: conv weights
 // arrive as the kMR-row A panels, linear weights ([Out, In]) as the
 // kNR-column B panels, each laid out per kKC block exactly as the per-call
 // pack would produce them. Only activations — and the operands of the
-// backward GEMMs — are packed per call. A tile with fewer than kMR live
-// rows (a batch-1 linear layer, a 1-2 channel head conv) runs a
-// row-vector kernel that keeps several B panels in flight instead of a
-// 4-row tile with dead rows.
+// backward GEMMs — are packed per call.
 //
 // Accumulation-order invariant: every C element is reduced the same way
 // on every path — a sequential multiply-add chain over k inside each kKC
-// block, blocks added to C in order, bias and ReLU after the last block.
-// Pre-packed vs per-call panels, the row-vector vs 4x16 kernel and serial
-// vs sharded execution change only which instructions run, never that
-// chain, so their results are bitwise equal.
+// block (one fused multiply-add per step where the target has FMA), blocks
+// added to C in order, bias and ReLU after the last block. The tile height,
+// the tail's R and P, pre-packed vs per-call panels and serial vs sharded
+// execution change only which instructions run, never that chain, so their
+// results are bitwise equal — and a kernel change that keeps the chain
+// keeps every inference output, and so every game, bitwise the same.
 //
 // The gemm_q8 family is the int8 inference path hosted by the same driver
 // skeleton: weights arrive pre-quantized (symmetric per-output-channel
 // int8, quantize_rows_int8) and pre-packed into K-quad panels together
 // with their per-block weight sums, activations are quantized to unsigned
 // 8-bit during the pack step with an asymmetric per-(K-block, lane)
-// min/scale, the 4x16 micro-kernel widen-accumulates u8 x s8 products into
+// min/scale, a 4x16 int8 micro-kernel (its own 4-row K-quad panels,
+// whatever the fp32 tile height) widen-accumulates u8 x s8 products into
 // int32 (AVX-512 VNNI vpdpbusd when available, exact scalar otherwise),
 // and the dequantization — plus the same fused bias/ReLU — happens in the
 // store epilogue. Integer accumulation is exact and the per-element
@@ -52,6 +62,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <vector>
 
 #include "tensor/tensor.hpp"
@@ -101,19 +112,40 @@ void gemm_abt_bias_relu(const float* a, const float* b, const float* bias,
 
 // --- weight-stationary (pack-once) operands ----------------------------------
 
+// Storage for fp32 GEMM panels, 64-byte aligned: a 16-float panel row is
+// then exactly one cache line, so no 16-lane load of it splits two lines
+// (malloc's 16-byte alignment splits every one).
+template <typename T>
+struct PanelAllocator {
+  using value_type = T;
+  static constexpr std::align_val_t kAlign{64};
+  PanelAllocator() = default;
+  template <typename U>
+  PanelAllocator(const PanelAllocator<U>&) {}
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(::operator new(n * sizeof(T), kAlign));
+  }
+  void deallocate(T* p, std::size_t) { ::operator delete(p, kAlign); }
+  friend bool operator==(PanelAllocator, PanelAllocator) { return true; }
+};
+template <typename T>
+using PanelVector = std::vector<T, PanelAllocator<T>>;
+
 // Which GEMM operand a packed weight matrix W[rows, k] feeds.
 enum class WeightRole {
   kA,   // conv forward: C[rows, N] = W * B; kMR-row A panels
   kBt,  // linear forward: C[M, rows] = A * W^T; kNR-column B panels
 };
 
-// W[rows, k] in the driver's panel layout for `role`, zero-padded to a whole
-// number of panels. Built by pack_weights; consumed by the *_packed_* GEMMs.
+// W[rows, k] in the driver's panel layout for `role`: kA packs exactly
+// `rows` rows per K block (a trailing panel as wide as its rows), kBt
+// zero-pads to whole kNR-column panels. Built by pack_weights; consumed by
+// the *_packed_* GEMMs.
 struct PackedWeights {
   WeightRole role = WeightRole::kA;
   int rows = 0;
   int k = 0;
-  std::vector<float> panels;
+  PanelVector<float> panels;
 };
 
 // Packs W[rows, k] (row-major) into `out`, reusing its storage.

@@ -38,7 +38,9 @@ class GemmShapes : public ::testing::TestWithParam<std::tuple<int, int, int>> {
 
 TEST_P(GemmShapes, MatchesNaiveReference) {
   const auto [m, n, k] = GetParam();
-  Rng rng(static_cast<std::uint64_t>(m * 73856093 ^ n * 19349663 ^ k));
+  Rng rng(static_cast<std::uint64_t>(m) * 73856093u ^
+          static_cast<std::uint64_t>(n) * 19349663u ^
+          static_cast<std::uint64_t>(k));
   const auto a = random_vec(static_cast<std::size_t>(m) * k, rng);
   const auto b = random_vec(static_cast<std::size_t>(k) * n, rng);
   std::vector<float> expect(static_cast<std::size_t>(m) * n);
@@ -52,7 +54,9 @@ TEST_P(GemmShapes, MatchesNaiveReference) {
 
 TEST_P(GemmShapes, TransposedVariantsMatch) {
   const auto [m, n, k] = GetParam();
-  Rng rng(static_cast<std::uint64_t>(m * 83492791 ^ n ^ k * 2654435761ULL));
+  Rng rng(static_cast<std::uint64_t>(m) * 83492791u ^
+          static_cast<std::uint64_t>(n) ^
+          static_cast<std::uint64_t>(k) * 2654435761ULL);
   const auto a = random_vec(static_cast<std::size_t>(m) * k, rng);
   const auto b = random_vec(static_cast<std::size_t>(k) * n, rng);
   std::vector<float> expect(static_cast<std::size_t>(m) * n);
@@ -84,9 +88,12 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{128, 70, 129}, std::tuple{1, 64, 200},
                       std::tuple{200, 1, 64},
                       // Ragged shapes straddling the packing tiles
-                      // (MR=4, NR=16, MC=64, KC=256): row/column/depth
-                      // remainders and the multi-KC epilogue ordering.
+                      // (MR=4 or 8 by ISA, NR=16, MC=64, KC=256):
+                      // row/column/depth remainders and the multi-KC
+                      // epilogue ordering.
                       std::tuple{4, 16, 256}, std::tuple{5, 17, 257},
+                      std::tuple{8, 16, 256}, std::tuple{9, 17, 257},
+                      std::tuple{15, 225, 576},
                       std::tuple{67, 31, 300}, std::tuple{70, 47, 513},
                       std::tuple{129, 18, 64}, std::tuple{63, 15, 255}));
 
@@ -197,14 +204,15 @@ TEST(Gemm, PackedWeightsBitwiseEqualPerCallPack) {
   // for both roles (conv A panels, linear B panels), across the kMR/kMC
   // row tiles, several kKC blocks (k = 513), ragged N, both epilogues and
   // the sharded driver. And because row i of C depends only on row i of
-  // the row-side operand, each row computed alone (a one-row tile: the
-  // row-vector kernel) must equal the same row computed inside a full
-  // 4x16 tile.
+  // the row-side operand, each row computed alone (a one-row tail tile)
+  // must equal the same row computed inside a full kMR x 16 tile. M hits
+  // every tail row count of both tile heights (kMR = 4 and 8); N hits
+  // every count of B panels left over after the multi-panel tail calls.
   WorkerCapGuard cap(8);  // let the 3-worker pool shard on small hosts
   ThreadPool pool(3);
   const int k = 513;
-  for (const int n : {47, 1100}) {
-    for (const int m : {1, 2, 3, 4, 5, 67}) {
+  for (const int n : {16, 31, 33, 47, 225, 1100}) {
+    for (const int m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 67}) {
       Rng rng(static_cast<std::uint64_t>(m * 7919 + n));
       const auto act = random_vec(static_cast<std::size_t>(m) * k, rng);
       const auto w_lin = random_vec(static_cast<std::size_t>(n) * k, rng);
@@ -255,6 +263,84 @@ TEST(Gemm, PackedWeightsBitwiseEqualPerCallPack) {
               << "conv row " << i << " of m=" << m << " n=" << n;
         }
       }
+    }
+  }
+}
+
+// The documented accumulation chain of one C element, spelled out in
+// scalar code: each 256-deep K block is a sequential multiply-add chain
+// from zero (one fused multiply-add per step where the target has FMA, as
+// the kernel's contracted c += a * b is), the blocks are added to C in
+// order, and the bias and ReLU come last.
+float sequential_chain(const float* a, std::size_t a_step, const float* b,
+                       std::size_t b_step, int k, float bias, bool relu) {
+  constexpr int kBlock = 256;
+  float c = 0.0f;
+  for (int k0 = 0; k0 < k; k0 += kBlock) {
+    float acc = 0.0f;
+    for (int p = k0; p < std::min(k, k0 + kBlock); ++p) {
+#if defined(__FMA__)
+      acc = std::fma(a[p * a_step], b[p * b_step], acc);
+#else
+      acc = acc + a[p * a_step] * b[p * b_step];
+#endif
+    }
+    c = k0 == 0 ? acc : c + acc;
+  }
+  c += bias;
+  return relu ? std::max(c, 0.0f) : c;
+}
+
+TEST(Gemm, MatchesSequentialFmaChain) {
+  // Every equivalence test above compares one driver path with another, so
+  // a kernel that split or reordered the K loop would pass them all and
+  // still change every game. This pins the chain itself, bitwise, on the
+  // per-call and pack-once forward GEMMs: full tiles, tail tiles, leftover
+  // B panels and several K blocks.
+  for (const auto& [m, n, k] :
+       {std::tuple{1, 33, 513}, std::tuple{8, 16, 256},
+        std::tuple{9, 47, 300}, std::tuple{67, 225, 600}}) {
+    Rng rng(static_cast<std::uint64_t>(m * 1009 + n * 31 + k));
+    const auto a = random_vec(static_cast<std::size_t>(m) * k, rng);
+    const auto b = random_vec(static_cast<std::size_t>(n) * k, rng);
+    const auto row_bias = random_vec(static_cast<std::size_t>(m), rng);
+    const auto col_bias = random_vec(static_cast<std::size_t>(n), rng);
+    PackedWeights conv, lin;
+    pack_weights(a.data(), m, k, WeightRole::kA, conv);
+    pack_weights(b.data(), n, k, WeightRole::kBt, lin);
+    const std::size_t out = static_cast<std::size_t>(m) * n;
+    std::vector<float> got(out), expect(out);
+    for (const bool relu : {false, true}) {
+      // Conv shape: C = A[M,K] * B[K,N] + bias[i], with b read as [K, N].
+      for (int i = 0; i < m; ++i)
+        for (int j = 0; j < n; ++j)
+          expect[static_cast<std::size_t>(i) * n + j] = sequential_chain(
+              a.data() + static_cast<std::size_t>(i) * k, 1, b.data() + j,
+              static_cast<std::size_t>(n), k, row_bias[i], relu);
+      gemm_bias_relu(a.data(), b.data(), row_bias.data(), got.data(), m, n, k,
+                     relu);
+      ASSERT_EQ(std::memcmp(got.data(), expect.data(), out * 4), 0)
+          << "gemm_bias_relu m=" << m << " n=" << n << " k=" << k;
+      gemm_packed_bias_relu(nullptr, conv, b.data(), row_bias.data(),
+                            got.data(), n, relu);
+      ASSERT_EQ(std::memcmp(got.data(), expect.data(), out * 4), 0)
+          << "gemm_packed_bias_relu m=" << m << " n=" << n << " k=" << k;
+
+      // Linear shape: C = A[M,K] * B[N,K]^T + bias[j].
+      for (int i = 0; i < m; ++i)
+        for (int j = 0; j < n; ++j)
+          expect[static_cast<std::size_t>(i) * n + j] = sequential_chain(
+              a.data() + static_cast<std::size_t>(i) * k, 1,
+              b.data() + static_cast<std::size_t>(j) * k, 1, k, col_bias[j],
+              relu);
+      gemm_abt_bias_relu(a.data(), b.data(), col_bias.data(), got.data(), m,
+                         n, k, relu);
+      ASSERT_EQ(std::memcmp(got.data(), expect.data(), out * 4), 0)
+          << "gemm_abt_bias_relu m=" << m << " n=" << n << " k=" << k;
+      gemm_abt_packed_bias_relu(nullptr, a.data(), lin, col_bias.data(),
+                                got.data(), m, relu);
+      ASSERT_EQ(std::memcmp(got.data(), expect.data(), out * 4), 0)
+          << "gemm_abt_packed_bias_relu m=" << m << " n=" << n << " k=" << k;
     }
   }
 }
