@@ -17,6 +17,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "eval/gpu_model.hpp"
 #include "eval/net_evaluator.hpp"
 #include "perfmodel/batch_search.hpp"
 #include "games/gomoku.hpp"
@@ -80,21 +81,36 @@ int main() {
     Trainer trainer(net, tc, 50000);
 
     // Episodes run through the match service (two concurrent games per
-    // wave), each game on its own engine frozen to this N's DES-chosen
-    // scheme — the adaptive-vs-frozen comparison keeps the config fixed.
+    // wave on one uncached lane over the net, threshold 1), each game on its
+    // own engine frozen to this N's DES-chosen scheme — the
+    // adaptive-vs-frozen comparison keeps the config fixed.
+    CpuBackend backend(evaluator);
+    EvaluatorPool pool;
+    ModelSpec spec;
+    spec.name = "net";
+    spec.backend = &backend;
+    spec.batch_threshold = 1;
+    spec.num_streams = 2;
+    spec.cache = false;
+    pool.add_model(spec);
+
+    ServiceWorkload w;
+    w.proto = std::shared_ptr<const Game>(game.clone());
+    w.model = "net";
+    w.slots = 2;
+    w.engine.mcts.num_playouts = kPlayouts;
+    w.engine.mcts.root_noise = true;
+    w.engine.mcts.seed = 100 + static_cast<std::uint64_t>(n);
+    w.engine.scheme = d.scheme;
+    w.engine.workers = n;
+    w.engine.adapt = false;
+    w.self_play.temperature_moves = 6;
+    w.self_play.augment = true;
+    w.self_play.seed = 1000;  // identical openings across N
     ServiceConfig sc;
-    sc.engine.mcts.num_playouts = kPlayouts;
-    sc.engine.mcts.root_noise = true;
-    sc.engine.mcts.seed = 100 + static_cast<std::uint64_t>(n);
-    sc.engine.scheme = d.scheme;
-    sc.engine.workers = n;
-    sc.engine.adapt = false;
-    sc.slots = 2;
     sc.workers = 2;
-    sc.self_play.temperature_moves = 6;
-    sc.self_play.augment = true;
-    sc.self_play.seed = 1000;  // identical openings across N
-    MatchService service(sc, game, {.evaluator = &evaluator});
+    sc.aggregate.enabled = false;  // threshold pinned at 1
+    MatchService service(sc, pool, {std::move(w)});
 
     int episode = 0;
     double virtual_s = 0.0;

@@ -1,5 +1,5 @@
 // Eval-cache bench (ISSUE 4): sweeps concurrent games K and cache capacity
-// (including cache-off) on the MatchService's shared queue and records the
+// (including cache-off) on a one-lane MatchService and records the
 // dedupe win — evals saved (cache hits + in-flight coalesces), the
 // resulting hit rate, unique backend evaluations, and aggregate served
 // evals/s — into a JSON baseline (default BENCH_cache.json, or argv[1]).
@@ -7,11 +7,11 @@
 // ISSUE 7 adds the transposition-table rows: full games of Othello and
 // Connect4 at a fixed per-move simulation budget, TT on vs off (no eval
 // cache in these rows, so the reduction is the TT's alone). Grafts must
-// cut both node expansions and backend evaluations while — kPriors being
+// cut both node expansions and backend evaluations while — being
 // bitwise-faithful — leaving every move of the game identical.
 //
 // Setup mirrors fig_service_throughput: K serial-engine Gomoku games share
-// one AsyncBatchEvaluator (threshold 4) over a wall-emulated A6000 model,
+// one EvaluatorPool lane (threshold 4) over a wall-emulated A6000 model,
 // fixed seeds, adaptation off — so per-game move sequences are a function
 // of the game id only. That determinism is also the correctness check this
 // bench enforces: with exact 64-bit coalescing, every game must finish with
@@ -21,11 +21,10 @@
 // ISSUE 9 adds the lane-shared TT rows: the same K-game pool-mode service
 // run twice — each engine owning a PRIVATE table vs all K games grafting
 // from one lane-owned SHARED table (eval cache off in both, so the delta
-// is transposition memory's alone). Under kPriors both runs must replay
-// identical games while the shared run performs fewer backend evaluations
-// at K >= 4 (cross-game residency: one game's expansion is every sibling's
-// graft). A graft-mode gate row (kStats vs kPriors match play) records the
-// evidence DESIGN_transposition.md cites for the default graft mode.
+// is transposition memory's alone). Grafts being bitwise-faithful, both
+// runs must replay identical games while the shared run performs fewer
+// backend evaluations at K >= 4 (cross-game residency: one game's
+// expansion is every sibling's graft).
 
 #include <cstdio>
 #include <memory>
@@ -37,7 +36,6 @@
 #include "games/gomoku.hpp"
 #include "games/othello.hpp"
 #include "mcts/engine.hpp"
-#include "serve/graft_gate.hpp"
 #include "serve/match_service.hpp"
 #include "support/table.hpp"
 #include "support/timer.hpp"
@@ -64,40 +62,47 @@ struct RunResult {
   std::vector<int> moves;
 };
 
-// Plays 2·K games on K slots over a fresh shared queue; cache_capacity 0
-// runs without a cache attached.
+// Plays 2·K games on K slots over a fresh one-lane pool; cache_capacity 0
+// runs the lane without a cache.
 RunResult run_service(const Game& game, int concurrent_games,
                       std::size_t cache_capacity) {
   SyntheticEvaluator eval(game.action_count(), game.encode_size());
   SimGpuBackend backend(eval, GpuTimingModel{}, /*emulate_wall_time=*/true);
-  EvalCache cache({.capacity = cache_capacity ? cache_capacity : 1,
-                   .shards = 8,
-                   .ways = 4});
-  AsyncBatchEvaluator queue(backend, /*batch_threshold=*/4, /*num_streams=*/2,
-                            /*stale_flush_us=*/1500.0);
-  if (cache_capacity > 0) queue.set_cache(&cache);
+  EvaluatorPool pool;
+  ModelSpec spec;
+  spec.name = "net";
+  spec.backend = &backend;
+  spec.batch_threshold = 4;
+  spec.num_streams = 2;
+  spec.stale_flush_us = 1500.0;
+  spec.cache = cache_capacity > 0;
+  spec.cache_cfg = {.capacity = cache_capacity, .shards = 8, .ways = 4};
+  pool.add_model(spec);
+
+  ServiceWorkload w;
+  w.proto = std::shared_ptr<const Game>(game.clone());
+  w.model = "net";
+  w.slots = concurrent_games;
+  w.engine.mcts.num_playouts = 64;
+  w.engine.scheme = Scheme::kSerial;
+  w.engine.adapt = false;
 
   ServiceConfig sc;
-  sc.engine.mcts.num_playouts = 64;
-  sc.engine.scheme = Scheme::kSerial;
-  sc.engine.adapt = false;
-  sc.slots = concurrent_games;
   sc.workers = 8;
+  sc.aggregate.enabled = false;  // threshold pinned at 4
 
   RunResult r;
-  {
-    MatchService service(sc, game, {.batch = &queue});
-    service.enqueue(2 * concurrent_games);
-    service.start();
-    service.drain();
-    r.stats = service.stats();
-    for (const GameRecord& rec : service.take_completed()) {
-      r.winners.push_back(rec.stats.winner);
-      r.moves.push_back(rec.stats.moves);
-    }
-    service.stop();
+  MatchService service(sc, pool, {std::move(w)});
+  service.enqueue(2 * concurrent_games);
+  service.start();
+  service.drain();
+  r.stats = service.stats();
+  for (const GameRecord& rec : service.take_completed()) {
+    r.winners.push_back(rec.stats.winner);
+    r.moves.push_back(rec.stats.moves);
   }
-  r.cache = cache.stats();
+  service.stop();
+  if (const EvalCache* cache = pool.cache(0)) r.cache = cache->stats();
   return r;
 }
 
@@ -144,10 +149,10 @@ TtRunResult run_tt_game(const Game& game, int playouts, bool tt_on) {
   return r;
 }
 
-// Plays 2·K games on K pool-mode slots, eval cache OFF; `shared` hands all
+// Plays 2·K games on K slots, eval cache OFF; `shared` hands all
 // K games one lane-owned TT, otherwise each engine keeps a private table of
-// the same size. Identical engine templates and seeds either way, so under
-// kPriors the two runs must produce identical games.
+// the same size. Identical engine templates and seeds either way, so the
+// two runs must produce identical games.
 RunResult run_lane_tt_service(const Game& game, int concurrent_games,
                               bool shared) {
   SyntheticEvaluator eval(game.action_count(), game.encode_size());
@@ -209,7 +214,7 @@ int main(int argc, char** argv) {
 
   std::printf(
       "=== eval cache: cross-game dedupe at the shared queue ===\n"
-      "shared AsyncBatchEvaluator, threshold 4, wall-emulated A6000 model;\n"
+      "one-lane EvaluatorPool, threshold 4, wall-emulated A6000 model;\n"
       "serial engines, fixed seeds (deterministic), 2K games on K slots\n\n");
 
   const Gomoku game(5, 4);
@@ -295,7 +300,7 @@ int main(int argc, char** argv) {
            {"othello6", othello, 512}, {"connect4", connect4, 512}}) {
     const TtRunResult off = run_tt_game(tc.game, tc.playouts, false);
     const TtRunResult on = run_tt_game(tc.game, tc.playouts, true);
-    // kPriors grafting is bitwise-faithful under the deterministic serial
+    // TT grafting is bitwise-faithful under the deterministic serial
     // scheme: the whole game must replay move for move.
     tt_identical = tt_identical && on.actions == off.actions &&
                    on.winner == off.winner;
@@ -338,7 +343,7 @@ int main(int argc, char** argv) {
   for (const int k : {2, 4, 8}) {
     const RunResult priv = run_lane_tt_service(game, k, /*shared=*/false);
     const RunResult shrd = run_lane_tt_service(game, k, /*shared=*/true);
-    // kPriors grafts install exactly what a cold expansion would have, so
+    // Grafts install exactly what a cold expansion would have, so
     // sharing the table across games must not move a single result.
     shared_identical = shared_identical && shrd.winners == priv.winners &&
                        shrd.moves == priv.moves;
@@ -371,56 +376,7 @@ int main(int argc, char** argv) {
   }
   stable.print(
       "lane-shared vs per-engine private TT: 2K games on K slots, "
-      "kPriors grafts, no eval cache");
-
-  // --- graft-mode gate: kStats vs kPriors match play ----------------------
-  // Informational (not exit-gated): the recorded score is the evidence
-  // DESIGN_transposition.md cites for keeping or flipping the default
-  // graft mode. A play-neutral kStats scores ~0.5 by color-swap symmetry.
-  Table gtable({"game", "games", "kStats W/L/D", "score", "pass"});
-  struct GateCase {
-    const char* name;
-    const Game& game;
-  };
-  for (const GateCase& gc : std::initializer_list<GateCase>{
-           {"connect4", connect4}, {"othello6", othello}}) {
-    SyntheticEvaluator geval(gc.game.action_count(), gc.game.encode_size());
-    SimGpuBackend gbackend(geval, GpuTimingModel{});
-    EvaluatorPool gpool;
-    ModelSpec gspec;
-    gspec.name = "net";
-    gspec.backend = &gbackend;
-    gspec.batch_threshold = 1;
-    gspec.stale_flush_us = 500.0;
-    gpool.add_model(gspec);
-
-    GraftGateConfig gcfg;
-    gcfg.model = "net";
-    gcfg.games = 12;
-    gcfg.opening_moves = 2;
-    gcfg.max_moves = 72;
-    gcfg.engine.mcts.num_playouts = 160;
-    gcfg.engine.scheme = Scheme::kSerial;
-    gcfg.engine.adapt = false;
-    gcfg.engine.tt.capacity = 1 << 14;
-    gcfg.engine.tt.max_edges = 64;
-
-    const MatchGateReport rep = run_graft_gate(gpool, gc.game, gcfg);
-    gtable.add_row({gc.name, std::to_string(rep.games),
-                    std::to_string(rep.candidate_wins) + "/" +
-                        std::to_string(rep.candidate_losses) + "/" +
-                        std::to_string(rep.draws),
-                    Table::fmt(rep.candidate_score, 3),
-                    rep.pass ? "yes" : "NO"});
-    const std::string suffix = std::string("_") + gc.name;
-    json.entry("graft_gate_kstats_score" + suffix, rep.candidate_score,
-               "score");
-    json.entry("graft_gate_kstats_pass" + suffix, rep.pass ? 1.0 : 0.0,
-               "bool");
-  }
-  gtable.print(
-      "graft-mode gate: kStats (candidate) vs kPriors (baseline), "
-      "color-swap pairs, serial 160-playout engines");
+      "no eval cache");
 
   json.entry("shared_tt_results_identical", shared_identical ? 1.0 : 0.0,
              "bool");

@@ -19,7 +19,7 @@
 // the cache-off line while the backend does strictly less work.
 //
 // Since ISSUE 5 the rows run through the ROUTED path — a one-model
-// EvaluatorPool lane and a single-workload pool-mode MatchService, with the
+// EvaluatorPool lane and a single-workload MatchService, with the
 // aggregate controller disabled so the threshold stays pinned at 4 exactly
 // like the historical rows: same JSON names, directly comparable numbers,
 // and any routing overhead would show as a regression here.

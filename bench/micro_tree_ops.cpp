@@ -204,7 +204,7 @@ void BM_TtGraft(benchmark::State& state) {
     ExpandState expected = ExpandState::kLeaf;
     root.state.compare_exchange_strong(expected, ExpandState::kExpanding);
     state.ResumeTiming();
-    ops.expand_from_tt(tree.root(), 0x1234ULL, hit, GraftMode::kPriors, 0.5f);
+    ops.expand_from_tt(tree.root(), 0x1234ULL, hit);
   }
 }
 BENCHMARK(BM_TtGraft)->Arg(25)->Arg(225)->Arg(361);

@@ -1,15 +1,16 @@
 // Full Algorithm-1 training loop on a small board, routed through the
 // concurrent match service: self-play episodes run `slots` games at a time,
 // each game on its own adaptive SearchEngine (cross-move tree reuse +
-// runtime scheme switching), all sharing one NetEvaluator so concurrent
-// games keep it busy; SGD updates run between waves; loss reporting and a
-// checkpoint at the end.
+// runtime scheme switching), all sharing one lane over the NetEvaluator so
+// concurrent games keep it busy; SGD updates run between waves; loss
+// reporting and a checkpoint at the end.
 //
 // Usage: selfplay_train [episodes] [board] [playouts] [workers] [slots]
 
 #include <cstdio>
 #include <cstdlib>
 
+#include "eval/gpu_model.hpp"
 #include "eval/net_evaluator.hpp"
 #include "games/gomoku.hpp"
 #include "nn/serialize.hpp"
@@ -29,18 +30,33 @@ int main(int argc, char** argv) {
   // Service path: one engine per concurrent game. Each engine starts on the
   // local-tree scheme and may re-decide (scheme, N) — and with it the
   // virtual-loss constant — per move from live costs; `slots` games share
-  // the evaluator so the pipeline never idles on a single game's tail.
+  // the net's lane (threshold 1, one stream per game, no cache: weights
+  // change every wave) so the pipeline never idles on a single game's tail.
+  apm::CpuBackend backend(evaluator);
+  apm::EvaluatorPool pool;
+  apm::ModelSpec spec;
+  spec.name = "net";
+  spec.backend = &backend;
+  spec.batch_threshold = 1;
+  spec.num_streams = slots;
+  spec.cache = false;
+  pool.add_model(spec);
+
+  apm::ServiceWorkload w;
+  w.proto = std::shared_ptr<const apm::Game>(game.clone());
+  w.model = "net";
+  w.slots = slots;
+  w.engine.mcts.num_playouts = playouts;
+  w.engine.mcts.root_noise = true;  // exploration during self-play
+  w.engine.scheme = apm::Scheme::kLocalTree;
+  w.engine.workers = workers;
+  w.engine.adaptive.worker_candidates = {1, 2, workers};
+  w.self_play.temperature_moves = board;  // explore the opening
+  w.self_play.augment = true;
   apm::ServiceConfig sc;
-  sc.engine.mcts.num_playouts = playouts;
-  sc.engine.mcts.root_noise = true;  // exploration during self-play
-  sc.engine.scheme = apm::Scheme::kLocalTree;
-  sc.engine.workers = workers;
-  sc.engine.adaptive.worker_candidates = {1, 2, workers};
-  sc.slots = slots;
   sc.workers = slots;  // one service thread per concurrent game
-  sc.self_play.temperature_moves = board;  // explore the opening
-  sc.self_play.augment = true;
-  apm::MatchService service(sc, game, {.evaluator = &evaluator});
+  sc.aggregate.enabled = false;  // threshold pinned at 1
+  apm::MatchService service(sc, pool, {std::move(w)});
 
   apm::TrainerConfig tc;
   tc.sgd_iters_per_move = 4;

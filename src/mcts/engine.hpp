@@ -70,7 +70,7 @@ struct EngineConfig {
   // compaction epoch; advance_root()'s archive pass folds discarded
   // subtrees back into it. Ignored when the caller supplies a lane-shared
   // table via SearchResources::tt — shared residency wins, and the lane
-  // owner (EvaluatorPool) controls sizing, graft mode and clearing.
+  // owner (EvaluatorPool) controls sizing and clearing.
   TtConfig tt;
   // Keep TT entries across reset_game(): position memos are pure function
   // of the (deterministic) evaluator, so cross-game carry-over is sound —

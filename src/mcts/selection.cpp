@@ -212,8 +212,7 @@ void InTreeOps::note_eval(NodeId node_id, std::uint64_t key, float value) {
 }
 
 void InTreeOps::expand_from_tt(NodeId node_id, std::uint64_t key,
-                               const TtView& hit, GraftMode mode,
-                               float stats_blend) {
+                               const TtView& hit) {
   Node& n = tree_.node(node_id);
   APM_CHECK_MSG(n.state.load(std::memory_order_acquire) ==
                     ExpandState::kExpanding,
@@ -222,42 +221,11 @@ void InTreeOps::expand_from_tt(NodeId node_id, std::uint64_t key,
   APM_CHECK_MSG(count > 0, "grafting an entry without edges");
 
   const EdgeId first = tree_.allocate_edges(count);
-  const double total_v = static_cast<double>(hit.visits);
   for (std::int32_t i = 0; i < count; ++i) {
     const TtEdge& s = hit.edges[static_cast<std::size_t>(i)];
     Edge& e = tree_.edge(first + i);
     e.action = s.action;
-    if (mode == GraftMode::kPriors || total_v <= 0.0) {
-      e.prior = s.prior;
-    } else {
-      const float freq =
-          static_cast<float>(static_cast<double>(s.visits) / total_v);
-      e.prior = (1.0f - stats_blend) * s.prior + stats_blend * freq;
-      if (s.visits > 0) {
-        // One seed visit carrying the TT mean as first-play urgency. The
-        // entry's in-flight announcements (evaluations racing elsewhere)
-        // pessimise the seed the way virtual loss pessimises a held edge,
-        // scaled down by how much real mass already backs the entry. On a
-        // lane-shared table "elsewhere" spans K games: once the entry is
-        // announced at all, the pessimism scales with the LANE's live
-        // in-flight (TtView::lane_inflight, fed from the service's
-        // live_inflight sums) rather than only the announcements this
-        // probe happened to observe — a max, so an engine-private table
-        // (lane hint 0) reproduces the PR-7 behaviour bit for bit.
-        const float mean =
-            static_cast<float>(s.value_sum / static_cast<double>(s.visits));
-        const double press =
-            hit.inflight > 0
-                ? std::max(static_cast<double>(hit.inflight),
-                           hit.lane_inflight)
-                : 0.0;
-        const float pessimism = cfg_.virtual_loss *
-                                static_cast<float>(press) /
-                                static_cast<float>(total_v + 1.0);
-        e.visits.store(1, std::memory_order_relaxed);
-        e.value_sum.store(mean - pessimism, std::memory_order_relaxed);
-      }
-    }
+    e.prior = s.prior;
   }
   n.hash = key;
   n.value = hit.value;

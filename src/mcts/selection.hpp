@@ -74,16 +74,11 @@ class InTreeOps {
                          Rng* noise_rng = nullptr);
 
   // Expands a claimed leaf from a transposition-table hit instead of a
-  // fresh evaluation. kPriors installs the stored (action, prior) list
-  // verbatim — identical to what expand() would have produced for the same
-  // position under a deterministic evaluator. kStats additionally blends
-  // the stored visit distribution into the priors and seeds each visited
-  // edge with a single first-play-urgency visit carrying the TT mean,
-  // pessimised by `hit.inflight` scaled virtual loss (positions still being
-  // evaluated elsewhere shouldn't look artificially settled). Also records
-  // the node's position memo (key + stored value) for later archiving.
-  void expand_from_tt(NodeId node, std::uint64_t key, const TtView& hit,
-                      GraftMode mode, float stats_blend);
+  // fresh evaluation: installs the stored (action, prior) list verbatim —
+  // identical to what expand() would have produced for the same position
+  // under a deterministic evaluator. Also records the node's position memo
+  // (key + stored value) for later archiving.
+  void expand_from_tt(NodeId node, std::uint64_t key, const TtView& hit);
 
   // Records the position memo (Zobrist eval_key + NN value) on a node the
   // caller has claimed (or just expanded): advance_root()'s archive pass

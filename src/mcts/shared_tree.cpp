@@ -126,9 +126,7 @@ void SharedTreeMcts::worker_loop(const Game& env,
         if (tr == TtProbeResult::kHit) {
           {
             std::lock_guard guard(tree_.coarse_lock());
-            ops.expand_from_tt(outcome.node, key, tt_scratch,
-                               tt_->config().graft,
-                               tt_->config().stats_blend);
+            ops.expand_from_tt(outcome.node, key, tt_scratch);
           }
           tt_value = tt_scratch.value;
           // Mirrors the tt_probe_and_graft instant (the per-node path) so

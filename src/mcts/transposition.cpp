@@ -70,7 +70,6 @@ TtProbeResult TranspositionTable::probe(std::uint64_t key, TtView& out) {
     out.inflight = e.inflight;
     out.visits = e.visits;
     out.generation = e.generation;
-    out.lane_inflight = lane_inflight();
     out.edges.assign(slab(base + static_cast<std::size_t>(w)),
                      slab(base + static_cast<std::size_t>(w)) + e.num_edges);
     e.generation = now;  // refresh: a grafted entry is a live one
@@ -271,8 +270,7 @@ TtProbeResult tt_probe_and_graft(TranspositionTable* tt, InTreeOps& ops,
   if (tt == nullptr || key == 0) return TtProbeResult::kMiss;
   const TtProbeResult r = tt->probe(key, scratch);
   if (r == TtProbeResult::kHit) {
-    ops.expand_from_tt(node, key, scratch, tt->config().graft,
-                       tt->config().stats_blend);
+    ops.expand_from_tt(node, key, scratch);
     *value_out = scratch.value;
     obs::emit_instant("tt_graft", "mcts",
                       {{"edges", scratch.edges.size()},

@@ -43,17 +43,6 @@ namespace apm {
 
 class InTreeOps;
 
-// How a TT hit is grafted onto a freshly claimed leaf:
-//  kPriors — install the stored priors/value exactly as the cold path
-//            would have (bitwise-identical search to TT-off under a
-//            deterministic evaluator; only the encode+eval work is saved).
-//  kStats  — additionally blend the stored visit distribution into the
-//            priors and seed each visited edge with a 1-visit first-play
-//            urgency carrying the TT mean, pessimised by the entry's
-//            inflight-scaled virtual-loss mark. Shares statistics, not
-//            just evals — NOT bitwise-equivalent to a cold start.
-enum class GraftMode { kPriors, kStats };
-
 struct TtConfig {
   bool enabled = false;  // engines build a TT only when set
   // Entry count (rounded up to a whole number of buckets).
@@ -67,9 +56,6 @@ struct TtConfig {
   // 0 (default): memos never age out — replacement pressure alone recycles
   // them.
   int max_age = 0;
-  GraftMode graft = GraftMode::kPriors;
-  // kStats: weight of the visit distribution in the blended prior.
-  float stats_blend = 0.5f;
   // Label carried by the table's trace instants (tt_graft / tt_pending) —
   // the lane name for a pool-owned shared table, empty = "engine" for an
   // engine-private one. Interned at construction (trace events borrow
@@ -96,12 +82,6 @@ struct TtView {
   std::int32_t inflight = 0;  // announced evaluations in flight elsewhere
   std::int64_t visits = 0;    // Σ folded edge visits
   std::uint32_t generation = 0;
-  // The owner's lane-wide in-flight hint at probe time (see
-  // set_lane_inflight); 0 for an engine-private table. kStats grafts
-  // pessimise their seeded means by max(inflight, lane_inflight) so
-  // borrowed statistics reflect lane-level concurrency, not just the
-  // probing engine's own announcements.
-  double lane_inflight = 0.0;
   std::vector<TtEdge> edges;
 };
 
@@ -167,17 +147,6 @@ class TranspositionTable {
     return generation_.load(std::memory_order_acquire);
   }
 
-  // Lane-wide in-flight hint (Σ scheme in-flight over the owning lane's
-  // live games), reported back through TtView::lane_inflight on every hit.
-  // Set by the lane owner (MatchService) whenever the lane's live producer
-  // set changes; stays 0 for engine-private tables. Thread-safe.
-  void set_lane_inflight(double inflight) {
-    lane_inflight_.store(inflight, std::memory_order_relaxed);
-  }
-  double lane_inflight() const {
-    return lane_inflight_.load(std::memory_order_relaxed);
-  }
-
   // Drops every entry (weights changed / new game without carry-over).
   // Cumulative counters survive. Thread-safe (per-bucket locks): a
   // lane-owned clear may race other games' probes/stores. Announce marks
@@ -224,7 +193,6 @@ class TranspositionTable {
   std::vector<TtEdge> payload_;
   std::unique_ptr<SpinLock[]> bucket_locks_;
   std::atomic<std::uint32_t> generation_{0};
-  std::atomic<double> lane_inflight_{0.0};
 
   mutable std::atomic<std::uint64_t> probes_{0};
   mutable std::atomic<std::uint64_t> hits_{0};

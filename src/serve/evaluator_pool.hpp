@@ -1,13 +1,12 @@
 #pragma once
 // Multi-model serving registry — one evaluation *lane* per named net.
 //
-// The PR-3/PR-4 serving stack shares ONE AsyncBatchEvaluator (and one
-// EvalCache) across every game the MatchService runs, which works exactly
-// as long as every game evaluates on the same network. A real serving
-// front end hosts many nets at once — different games, different training
-// generations, A/B pairs — and a request for net X must never be answered
-// from net Y's batch or cache. The EvaluatorPool is that registry: each
-// registered model owns a private lane of
+// The MatchService's games submit to a batch queue (and its EvalCache),
+// and a real serving front end hosts many nets at once — different games,
+// different training generations, A/B pairs — so a request for net X must
+// never be answered from net Y's batch or cache. The EvaluatorPool is the
+// registry every MatchService runs over (a single-net service is a
+// one-lane pool): each registered model owns a private lane of
 //
 //     InferenceBackend  (caller-owned: the net / sim-GPU that computes)
 //       └ EvalCache     (per-net — the cache-keying caveat from ROADMAP:
@@ -43,10 +42,11 @@
 // SearchResources::tt_shared); invalidate(id) clears it with the lane's
 // cache because both memoise the lane's weights. TT entries are position
 // memos of a deterministic evaluator, so cross-game residency is sound
-// (the same argument as tt_keep_across_games, made structural), and under
-// GraftMode::kPriors per-game results remain a pure function of the game
-// seed — independent of worker count, of sharing, and of which sibling
-// game warmed the table (pinned by test_shared_tt and bench/fig_cache).
+// (the same argument as tt_keep_across_games, made structural), and since
+// a graft installs exactly what a cold expansion would, per-game results
+// remain a pure function of the game seed — independent of worker count,
+// of sharing, and of which sibling game warmed the table (pinned by
+// test_shared_tt and bench/fig_cache).
 //
 // Per-lane precision contract: precision is a property of the LANE, not of
 // the serving plane — declared at registration (ModelSpec::precision) and
@@ -73,7 +73,7 @@
 // aggregate_controller.hpp) re-tunes each lane's threshold independently
 // from that lane's measured arrival rate. Per-game engines never manage a
 // pooled queue's threshold (MatchService forces manage_batch_threshold
-// off, as with the PR-3 shared queue).
+// off).
 //
 // Thread safety: registration is single-threaded setup (add_model before
 // any service attaches); the lane accessors are const after that and the

@@ -7,8 +7,7 @@
 // swapped pairs with shared per-pair openings, score the candidate as
 // (wins + draws/2) / games, and pass it only within a configured band of
 // parity. The protocol is not precision-specific — the same experiment
-// answers "is GraftMode::kStats play-neutral?" (serve/graft_gate.hpp) or
-// any future A/B over engines — so it lives here once, parameterised by
+// answers any A/B over engines — so it lives here once, parameterised by
 // two GateSides, and the specific gates are thin adapters.
 //
 // Protocol (exactly the precision gate's, pinned by its tests):

@@ -50,45 +50,9 @@ void accumulate(CacheStats& into, const CacheStats& c) {
 
 }  // namespace
 
-MatchService::MatchService(ServiceConfig cfg, const Game& game,
-                           SearchResources res)
-    : cfg_(std::move(cfg)), res_(res) {
-  APM_CHECK(cfg_.slots >= 1);
-  APM_CHECK(cfg_.workers >= 1);
-  APM_CHECK_MSG(res_.evaluator != nullptr || res_.batch != nullptr,
-                "MatchService: no evaluation resource provided");
-  if (res_.batch != nullptr) {
-    APM_CHECK_MSG(res_.batch->stale_flush_us() > 0.0,
-                  "MatchService over a batch queue needs the stale-flush "
-                  "timer: at a game tail the remaining games cannot fill a "
-                  "batch, and the timer bounds their wait");
-    if (cfg_.batch_threshold > 0) {
-      res_.batch->set_batch_threshold(cfg_.batch_threshold);
-    }
-    Lane lane;
-    lane.model_id = -1;
-    lane.start = res_.batch->stats();
-    lane.start_request = res_.batch->request_histogram();
-    lane.start_batch_wait = res_.batch->batch_wait_histogram();
-    lane.start_backend = res_.batch->backend_histogram();
-    lane.last_window = lane.start;
-    lanes_.push_back(std::move(lane));
-  }
-  auto wl = std::make_unique<Workload>();
-  wl->spec.proto = std::shared_ptr<const Game>(game.clone());
-  wl->spec.slots = cfg_.slots;
-  wl->spec.engine = cfg_.engine;
-  wl->spec.self_play = cfg_.self_play;
-  wl->inflight = scheme_inflight(cfg_.engine.scheme, cfg_.engine.workers,
-                                 cfg_.engine.batch_threshold,
-                                 cfg_.engine.adaptive.gpu);
-  workloads_.push_back(std::move(wl));
-  init_slots();
-}
-
 MatchService::MatchService(ServiceConfig cfg, EvaluatorPool& pool,
                            std::vector<ServiceWorkload> workloads)
-    : cfg_(std::move(cfg)), pool_(&pool) {
+    : cfg_(std::move(cfg)), pool_(pool) {
   APM_CHECK(cfg_.workers >= 1);
   APM_CHECK_MSG(!workloads.empty(), "MatchService: no workloads declared");
   for (ServiceWorkload& spec : workloads) {
@@ -135,12 +99,8 @@ MatchService::MatchService(ServiceConfig cfg, EvaluatorPool& pool,
     controller_ = std::make_unique<AggregateController>(cfg_.aggregate,
                                                         pool.model_count());
   }
-  init_slots();
-}
-
-void MatchService::init_slots() {
-  for (std::size_t w = 0; w < workloads_.size(); ++w) {
-    total_slots_ += workloads_[w]->spec.slots;
+  for (const std::unique_ptr<Workload>& wl : workloads_) {
+    total_slots_ += wl->spec.slots;
   }
   slots_.reserve(static_cast<std::size_t>(total_slots_));
   int id = 0;
@@ -226,7 +186,6 @@ void MatchService::claim_locked(Slot& slot) {
     if (lane.model_id == wl.model_id) {
       ++lane.live_games;
       lane.inflight_sum += slot.live_inflight;
-      sync_lane_tt_locked(lane);
       break;
     }
   }
@@ -235,7 +194,7 @@ void MatchService::claim_locked(Slot& slot) {
 
 void MatchService::build_slot(Slot& slot) {
   // Runs outside the lock on the exclusively-owned slot; everything read
-  // here (workload specs, pool_, res_) is immutable after construction.
+  // here (workload specs, the pool's lanes) is immutable after construction.
   //
   // Per-game seeds are a pure function of (workload, per-workload game
   // index), so a game's move sequence is independent of the worker count,
@@ -252,19 +211,16 @@ void MatchService::build_slot(Slot& slot) {
   sp.seed = wl.spec.self_play.seed +
             static_cast<std::uint64_t>(slot.game_id) * cfg_.game_seed_stride;
 
-  SearchResources res = res_;
-  if (pool_ != nullptr) {
-    res = SearchResources{};
-    res.batch = &pool_->queue(wl.model_id);
-    // The lane's shared transposition memory (if declared): every engine
-    // this lane seats grafts from — and stores into — the same table, so
-    // sibling games dedupe whole expansions, not just NN calls. tt_shared
-    // tells the engine to bump (never rewind) the lane's generation clock
-    // and to leave clearing to the lane owner.
-    if (TranspositionTable* tt = pool_->transposition(wl.model_id)) {
-      res.tt = tt;
-      res.tt_shared = true;
-    }
+  SearchResources res;
+  res.batch = &pool_.queue(wl.model_id);
+  // The lane's shared transposition memory (if declared): every engine this
+  // lane seats grafts from — and stores into — the same table, so sibling
+  // games dedupe whole expansions, not just NN calls. tt_shared tells the
+  // engine to bump (never rewind) the lane's generation clock and to leave
+  // clearing to the lane owner.
+  if (TranspositionTable* tt = pool_.transposition(wl.model_id)) {
+    res.tt = tt;
+    res.tt_shared = true;
   }
   res.batch_tag = slot.id;  // attribute lane occupancy to this slot
   slot.engine = std::make_unique<SearchEngine>(ec, res);
@@ -277,7 +233,7 @@ GameRecord MatchService::retire_slot(Slot& slot, bool completed) const {
   rec.game_id = slot.game_id;
   rec.workload = slot.workload;
   rec.game_name = wl.spec.proto->name();
-  if (pool_ != nullptr) rec.model = wl.spec.model;
+  rec.model = wl.spec.model;
   rec.completed = completed;
   EpisodeStats stats = slot.runner->finish(
       [&rec](TrainSample&& s) { rec.samples.push_back(std::move(s)); });
@@ -319,7 +275,6 @@ void MatchService::commit_locked(Slot& slot, GameRecord&& rec) {
     if (lane.model_id == wl.model_id) {
       --lane.live_games;
       lane.inflight_sum -= slot.live_inflight;
-      sync_lane_tt_locked(lane);
       break;
     }
   }
@@ -327,11 +282,11 @@ void MatchService::commit_locked(Slot& slot, GameRecord&& rec) {
 }
 
 void MatchService::retune_locked(int model_id) {
-  if (controller_ == nullptr || pool_ == nullptr || !started_) return;
+  if (controller_ == nullptr || !started_) return;
   const double now = wall_timer_.elapsed_seconds();
   for (Lane& lane : lanes_) {
     if (model_id >= 0 && lane.model_id != model_id) continue;
-    AsyncBatchEvaluator& queue = pool_->queue(lane.model_id);
+    AsyncBatchEvaluator& queue = pool_.queue(lane.model_id);
     const BatchQueueStats snap = queue.stats();
     const std::uint64_t window_arrivals =
         snap.submitted - lane.last_window.submitted;
@@ -360,7 +315,7 @@ void MatchService::retune_locked(int model_id) {
     obs.window_slot_arrivals = window_arrivals;
     obs.window_seconds = window_seconds;
     obs.stale_flush_us = queue.stale_flush_us();
-    InferenceBackend& backend = pool_->backend(lane.model_id);
+    InferenceBackend& backend = pool_.backend(lane.model_id);
     const ThresholdDecision d = controller_->observe(
         lane.model_id, now, obs,
         [&backend](int b) { return backend.model_batch_us(b); },
@@ -368,13 +323,6 @@ void MatchService::retune_locked(int model_id) {
     if (d.changed) queue.set_batch_threshold(d.to);
     lane.last_window = snap;
     lane.last_window_seconds = now;
-  }
-}
-
-void MatchService::sync_lane_tt_locked(const Lane& lane) {
-  if (pool_ == nullptr || lane.model_id < 0) return;
-  if (TranspositionTable* tt = pool_->transposition(lane.model_id)) {
-    tt->set_lane_inflight(std::max(0.0, lane.inflight_sum));
   }
 }
 
@@ -486,7 +434,6 @@ void MatchService::worker_loop() {
       for (Lane& lane : lanes_) {
         if (lane.model_id == wl.model_id) {
           lane.inflight_sum += live - slot->live_inflight;
-          sync_lane_tt_locked(lane);
           break;
         }
       }
@@ -565,15 +512,11 @@ std::vector<GameRecord> MatchService::take_completed() {
 }
 
 void MatchService::invalidate_model(int model_id) {
-  if (pool_ != nullptr) {
-    if (model_id < 0) {
-      pool_->invalidate_all();
-    } else {
-      pool_->invalidate(model_id);
-    }
-    return;
+  if (model_id < 0) {
+    pool_.invalidate_all();
+  } else {
+    pool_.invalidate(model_id);
   }
-  if (EvalCache* cache = eval_cache()) cache->clear();
 }
 
 std::vector<ThresholdDecision> MatchService::retune_log() const {
@@ -595,10 +538,8 @@ void MatchService::publish_metrics() {
     std::lock_guard lock(mutex_);
     for (Lane& lane : lanes_) {
       if (lane.slo == nullptr) continue;
-      const AsyncBatchEvaluator* queue =
-          pool_ != nullptr ? &pool_->queue(lane.model_id) : res_.batch;
-      if (queue == nullptr) continue;
-      const obs::HistogramSnapshot cur = queue->request_histogram();
+      const obs::HistogramSnapshot cur =
+          pool_.queue(lane.model_id).request_histogram();
       const obs::HistogramSnapshot window = cur.delta(lane.slo_last);
       lane.slo_last = cur;
       lane.health = lane.slo->update(window);
@@ -627,7 +568,7 @@ void MatchService::publish_metrics() {
   reg.set_histogram("service.request_latency_ns", s.request_latency_ns);
   reg.set_histogram("service.batch_wait_ns", s.batch_wait_ns);
   reg.set_histogram("service.backend_eval_ns", s.backend_eval_ns);
-  // Per-lane latency shards and SLO health (pool mode): the telemetry
+  // Per-lane latency shards and SLO health: the telemetry
   // sampler reads everything — aggregate and per-lane — from the registry,
   // so publish the lane views under their lane names too. Health is a
   // gauge (0=healthy 1=warn 2=breach); the sampler's worst_health() and
@@ -643,7 +584,7 @@ void MatchService::publish_metrics() {
       reg.gauge(p + "slo_window_p99_us").set(ls.slo_window_p99_us);
     }
   }
-  // Per-lane shared-TT telemetry (pool mode, TT-bearing lanes only): the
+  // Per-lane shared-TT telemetry (TT-bearing lanes only): the
   // table's own counters plus the service's leaf-only graft fold, keyed by
   // lane name so heterogeneous services stay disentangled.
   for (const ServiceLaneStats& ls : s.lanes) {
@@ -699,60 +640,51 @@ ServiceStats MatchService::stats() const {
   }
 
   for (const Lane& lane : lanes_) {
-    const AsyncBatchEvaluator* queue =
-        pool_ != nullptr ? &pool_->queue(lane.model_id) : res_.batch;
-    if (queue == nullptr) continue;
-    const BatchQueueStats delta = stats_delta(queue->stats(), lane.start);
+    const AsyncBatchEvaluator& queue = pool_.queue(lane.model_id);
+    const BatchQueueStats delta = stats_delta(queue.stats(), lane.start);
     accumulate(s.batch, delta);
-    // Era-window latency shards: the queue's lifetime histograms minus the
-    // construction baselines, merged across lanes (and kept per lane).
-    const obs::HistogramSnapshot req_delta =
-        queue->request_histogram().delta(lane.start_request);
-    const obs::HistogramSnapshot wait_delta =
-        queue->batch_wait_histogram().delta(lane.start_batch_wait);
-    const obs::HistogramSnapshot backend_delta =
-        queue->backend_histogram().delta(lane.start_backend);
-    s.request_latency_ns.merge(req_delta);
-    s.batch_wait_ns.merge(wait_delta);
-    s.backend_eval_ns.merge(backend_delta);
-    const EvalCache* cache = pool_ != nullptr ? pool_->cache(lane.model_id)
-                                              : queue->cache();
-    if (cache != nullptr) accumulate(s.cache, cache->stats());
-    if (pool_ != nullptr) {
-      ServiceLaneStats ls;
-      ls.model_id = lane.model_id;
-      ls.model = pool_->name(lane.model_id);
-      ls.precision = pool_->precision(lane.model_id);
-      ls.live_games = lane.live_games;
-      ls.live_inflight = lane.inflight_sum;
-      ls.threshold = queue->batch_threshold();
-      ls.retunes =
-          controller_ != nullptr ? controller_->retunes(lane.model_id) : 0;
-      ls.tt_graft_rate =
-          lane.tt_demand > 0
-              ? static_cast<double>(lane.tt_grafts) /
-                    static_cast<double>(lane.tt_demand)
-              : 0.0;
-      ls.tt_grafts = lane.tt_grafts;
-      ls.tt_demand = lane.tt_demand;
-      if (const TranspositionTable* tt =
-              pool_->transposition(lane.model_id)) {
-        ls.tt_shared = true;
-        ls.tt = tt->stats();
-      }
-      ls.batch = delta;
-      if (cache != nullptr) ls.cache = cache->stats();
-      ls.request_latency_ns = req_delta;
-      ls.batch_wait_ns = wait_delta;
-      ls.backend_eval_ns = backend_delta;
-      if (lane.slo != nullptr) {
-        ls.slo_enabled = true;
-        ls.health = lane.health;
-        ls.slo_window_p99_us = lane.slo_window_p99_us;
-        ls.slo_burn = lane.slo_burn;
-      }
-      s.lanes.push_back(std::move(ls));
+    ServiceLaneStats ls;
+    ls.model_id = lane.model_id;
+    ls.model = pool_.name(lane.model_id);
+    ls.precision = pool_.precision(lane.model_id);
+    ls.live_games = lane.live_games;
+    ls.live_inflight = lane.inflight_sum;
+    ls.threshold = queue.batch_threshold();
+    ls.retunes =
+        controller_ != nullptr ? controller_->retunes(lane.model_id) : 0;
+    ls.tt_graft_rate =
+        lane.tt_demand > 0
+            ? static_cast<double>(lane.tt_grafts) /
+                  static_cast<double>(lane.tt_demand)
+            : 0.0;
+    ls.tt_grafts = lane.tt_grafts;
+    ls.tt_demand = lane.tt_demand;
+    if (const TranspositionTable* tt = pool_.transposition(lane.model_id)) {
+      ls.tt_shared = true;
+      ls.tt = tt->stats();
     }
+    ls.batch = delta;
+    if (const EvalCache* cache = pool_.cache(lane.model_id)) {
+      ls.cache = cache->stats();
+      accumulate(s.cache, ls.cache);
+    }
+    // Era-window latency shards: the queue's lifetime histograms minus the
+    // construction baselines, kept per lane and merged across lanes.
+    ls.request_latency_ns =
+        queue.request_histogram().delta(lane.start_request);
+    ls.batch_wait_ns =
+        queue.batch_wait_histogram().delta(lane.start_batch_wait);
+    ls.backend_eval_ns = queue.backend_histogram().delta(lane.start_backend);
+    s.request_latency_ns.merge(ls.request_latency_ns);
+    s.batch_wait_ns.merge(ls.batch_wait_ns);
+    s.backend_eval_ns.merge(ls.backend_eval_ns);
+    if (lane.slo != nullptr) {
+      ls.slo_enabled = true;
+      ls.health = lane.health;
+      ls.slo_window_p99_us = lane.slo_window_p99_us;
+      ls.slo_burn = lane.slo_burn;
+    }
+    s.lanes.push_back(std::move(ls));
   }
   s.batch.mean_batch =
       s.batch.batches > 0
@@ -774,7 +706,7 @@ ServiceStats MatchService::stats() const {
     WorkloadStats ws;
     ws.workload = static_cast<int>(w);
     ws.game_name = wl.spec.proto->name();
-    if (pool_ != nullptr) ws.model = wl.spec.model;
+    ws.model = wl.spec.model;
     ws.slots = wl.spec.slots;
     ws.games_completed = wl.completed;
     ws.games_abandoned = wl.abandoned;

@@ -8,10 +8,10 @@
 // batches of 1 or stalls on the stale-flush timer. The MatchService runs K
 // concurrent games, each owned by its own adaptive SearchEngine (private
 // arena + AdaptiveController + cross-move tree reuse), submitting leaf
-// evaluations to a shared AsyncBatchEvaluator — so batches form *across*
-// games (Batch MCTS, Cazenave 2021) and the accelerator sees
-// threshold-sized batches even when every individual game is a starved
-// single-stream producer.
+// evaluations to a shared lane queue — so batches form *across* games
+// (Batch MCTS, Cazenave 2021) and the accelerator sees threshold-sized
+// batches even when every individual game is a starved single-stream
+// producer.
 //
 // Multi-model routing (ISSUE 5): a service can serve heterogeneous
 // workloads. Each ServiceWorkload declares (game prototype, model name,
@@ -21,10 +21,10 @@
 // serve/evaluator_pool.hpp). Batches still form across games *within* a
 // lane — K Gomoku games on net A fill net A's batches — while lanes stay
 // isolated: a Connect4 game on net B can never occupy net A's slots or
-// alias its cache. The single-game/single-queue constructor of PR 3 is the
-// degenerate one-workload case and keeps its exact behaviour.
+// alias its cache. A single-game, single-net service is the degenerate
+// one-workload, one-lane case.
 //
-// Aggregate threshold control (Algorithm 4 at service level): in pool mode
+// Aggregate threshold control (Algorithm 4 at service level): when enabled,
 // an AggregateController re-tunes each lane's batch threshold from that
 // lane's measured operating point — live game count × per-game in-flight,
 // thinned by the measured cache hit rate, against the measured slot
@@ -39,8 +39,8 @@
 // attach/retire and every `aggregate.retune_every_moves` committed moves;
 // accepted retunes are applied via set_batch_threshold and logged
 // (retune_log()) — the threshold trajectory BENCH_hetero.json records.
-// Per-game engines never manage a pooled queue's threshold
-// (manage_batch_threshold is forced off, as with the PR-3 shared queue).
+// Per-game engines never manage a lane queue's threshold
+// (manage_batch_threshold is forced off).
 // Results stay worker-count independent under retuning because per-request
 // results never depend on batch composition — only latency does.
 //
@@ -61,15 +61,14 @@
 // Lifecycle: enqueue(n)/enqueue_workload(w, n) add games; start() spawns
 // the worker pool; drain() blocks until every queued game has completed;
 // stop() halts after in-flight moves, abandons mid-game slots, and joins
-// the pool (the destructor calls it). Every queue's stale-flush timer is
-// required in batch mode: at a game tail the remaining producers cannot
-// fill a batch, and the timer is what bounds their wait.
+// the pool (the destructor calls it). Every lane queue's stale-flush timer
+// is required (EvaluatorPool::add_model checks it): at a game tail the
+// remaining producers cannot fill a batch, and the timer bounds their wait.
 //
 // Cache invalidation contract: invalidate_model(id) clears ONLY model id's
 // cache (its weights changed); other lanes' residency and hit rates
 // survive. The Trainer calls it with the model its net backs after each
-// wave's SGD; id −1 (or the legacy single-queue service) clears every
-// attached cache.
+// wave's SGD; id −1 clears every lane's cache.
 
 #include <condition_variable>
 #include <deque>
@@ -90,27 +89,13 @@
 namespace apm {
 
 struct ServiceConfig {
-  // Per-game engine template (the single-workload constructor; pool-mode
-  // workloads carry their own). The service derives each game's search
-  // seed from it and forces manage_batch_threshold = false (the service —
-  // or its aggregate controller — owns queue thresholds; K engines must
-  // not fight over them).
-  EngineConfig engine;
-  // Per-game self-play template; each game's seed is offset by its
-  // per-workload game index so results are a function of (workload, index)
-  // only, not of scheduling.
-  SelfPlayConfig self_play;
-  int slots = 4;    // K concurrent games (single-workload constructor)
   int workers = 2;  // threads multiplexing the slots at move granularity
-  // > 0: applied once to the shared AsyncBatchEvaluator at construction
-  // (single-workload constructor); 0 keeps the queue's current setting.
-  int batch_threshold = 0;
   // Seed strides between consecutive game indices of one workload
   // (self-play / engine search).
   std::uint64_t game_seed_stride = 1000003ULL;
   std::uint64_t engine_seed_stride = 7919ULL;
-  // Service-level Algorithm-4 threshold control (pool mode only; the
-  // legacy single-queue constructor keeps its pinned threshold).
+  // Service-level Algorithm-4 threshold control; disabled, every lane keeps
+  // the threshold its ModelSpec declared.
   AggregateControllerConfig aggregate;
 };
 
@@ -120,7 +105,14 @@ struct ServiceWorkload {
   std::shared_ptr<const Game> proto;  // cloned per seated episode
   std::string model;
   int slots = 1;
+  // Per-game engine template. The service derives each game's search seed
+  // from it and forces manage_batch_threshold = false (the service — or
+  // its aggregate controller — owns lane thresholds; K engines must not
+  // fight over them).
   EngineConfig engine;
+  // Per-game self-play template; each game's seed is offset by its
+  // per-workload game index so results are a function of (workload, index)
+  // only, not of scheduling.
   SelfPlayConfig self_play;
 };
 
@@ -129,13 +121,13 @@ struct GameRecord {
   int game_id = -1;   // per-workload game index (seeds derive from it)
   int workload = 0;   // index into the service's workload list
   std::string game_name;
-  std::string model;  // lane the game evaluated on (empty in legacy mode)
+  std::string model;  // lane the game evaluated on
   bool completed = false;  // false = stop() abandoned it mid-game
   EpisodeStats stats;
   std::vector<TrainSample> samples;
 };
 
-// Per-workload progress (pool mode; a single entry in legacy mode).
+// Per-workload progress.
 struct WorkloadStats {
   int workload = 0;
   std::string game_name;
@@ -193,8 +185,8 @@ struct ServiceLaneStats {
   double slo_burn = 0.0;
 };
 
-// Aggregate service telemetry. `batch` sums the lane deltas (legacy mode:
-// the single shared queue's delta); per-lane breakdowns are in `lanes`.
+// Aggregate service telemetry. `batch` sums the lane deltas; per-lane
+// breakdowns are in `lanes`.
 struct ServiceStats {
   int slots = 0;
   int workers = 0;
@@ -251,17 +243,9 @@ struct ServiceStats {
 
 class MatchService {
  public:
-  // Single-workload service: `game` is cloned per seated episode; `res` is
-  // the shared evaluation resource every per-game engine submits to. Batch
-  // mode (res.batch set) requires the queue's stale-flush timer (liveness
-  // at game tails). No aggregate controller — the threshold stays pinned.
-  MatchService(ServiceConfig cfg, const Game& game, SearchResources res);
-
-  // Multi-model service: each workload's slots route to its named model's
-  // lane in `pool` (which must outlive the service). Total slot count is
-  // the sum over workloads; cfg.slots/cfg.engine/cfg.self_play are ignored
-  // in favour of the per-workload declarations. cfg.aggregate enables the
-  // per-lane Algorithm-4 threshold loop.
+  // Each workload's slots route to its named model's lane in `pool` (which
+  // must outlive the service). Total slot count is the sum over workloads.
+  // cfg.aggregate enables the per-lane Algorithm-4 threshold loop.
   MatchService(ServiceConfig cfg, EvaluatorPool& pool,
                std::vector<ServiceWorkload> workloads);
   ~MatchService();
@@ -300,14 +284,13 @@ class MatchService {
   int workload_count() const { return static_cast<int>(workloads_.size()); }
 
   // Per-model cache invalidation (the Trainer's weight-update hook):
-  // clears model `model_id`'s cache only; −1 clears every attached cache.
-  // In legacy single-queue mode any id clears the one attached cache.
+  // clears model `model_id`'s cache and TT only; −1 clears every lane's.
   void invalidate_model(int model_id);
 
-  // The aggregate controller's recent decisions, oldest first (pool mode;
-  // empty otherwise). Bounded by cfg.aggregate.log_capacity — decisions
-  // beyond it are dropped oldest-first and counted by retune_log_dropped().
-  // Copied under the service lock.
+  // The aggregate controller's recent decisions, oldest first (empty when
+  // cfg.aggregate is disabled). Bounded by cfg.aggregate.log_capacity —
+  // decisions beyond it are dropped oldest-first and counted by
+  // retune_log_dropped(). Copied under the service lock.
   std::vector<ThresholdDecision> retune_log() const;
   // Decisions the bounded retune log has overwritten so far.
   std::uint64_t retune_log_dropped() const;
@@ -322,12 +305,6 @@ class MatchService {
   // state machine and exporting "service.<lane>.health" as a gauge
   // (0=healthy 1=warn 2=breach).
   void publish_metrics();
-
-  // The eval cache attached to the legacy shared batch queue (nullptr
-  // without one, and nullptr in pool mode — use invalidate_model there).
-  EvalCache* eval_cache() const {
-    return res_.batch != nullptr ? res_.batch->cache() : nullptr;
-  }
 
  private:
   // One concurrent game: engine + episode state machine, exclusively owned
@@ -350,7 +327,7 @@ class MatchService {
   // Internal per-workload state (guarded by mutex_ unless noted).
   struct Workload {
     ServiceWorkload spec;    // immutable after construction
-    int model_id = -1;       // pool lane; -1 = legacy external resource
+    int model_id = 0;        // pool lane
     // scheme_inflight of the engine TEMPLATE — only the seed for a freshly
     // claimed slot; live slots track their engines (Slot::live_inflight).
     double inflight = 1.0;
@@ -365,7 +342,7 @@ class MatchService {
 
   // Internal per-lane state for the aggregate controller's windows.
   struct Lane {
-    int model_id = -1;
+    int model_id = 0;
     BatchQueueStats start;        // snapshot at service construction
     // Latency-shard baselines at service construction: the queue outlives
     // the service, so its histograms cover more than this service's era —
@@ -392,7 +369,6 @@ class MatchService {
     double slo_burn = 0.0;
   };
 
-  void init_slots();
   void worker_loop();
   bool seatable_locked() const;
   // Seating is split so engine/runner construction never holds mutex_:
@@ -405,23 +381,16 @@ class MatchService {
   // (completed=true) and stop()-abandoned (completed=false) games.
   GameRecord retire_slot(Slot& slot, bool completed) const;
   void commit_locked(Slot& slot, GameRecord&& rec);
-  // Re-runs the per-lane Algorithm-4 decision (pool mode, controller
-  // enabled); applies accepted retunes to the lane queues. `model_id`
+  // Re-runs the per-lane Algorithm-4 decision (controller enabled);
+  // applies accepted retunes to the lane queues. `model_id`
   // >= 0 observes only that lane (a single-lane attach/retire event must
   // not advance other lanes' dwell counters with no new data, nor walk
   // every queue's mutex under mutex_); -1 sweeps all lanes (the periodic
   // cadence).
   void retune_locked(int model_id);
-  // Publishes lane.inflight_sum into the lane's shared TT (if any) as the
-  // cross-game virtual-loss hint kStats grafts pessimise by. Called after
-  // every inflight_sum mutation (claim/retire/live re-read) so sibling
-  // games' engines see the lane's true concurrent pressure, not just their
-  // own in-flight count.
-  void sync_lane_tt_locked(const Lane& lane);
 
   ServiceConfig cfg_;
-  EvaluatorPool* pool_ = nullptr;  // pool mode; null in legacy mode
-  SearchResources res_;            // legacy mode; empty in pool mode
+  EvaluatorPool& pool_;
   std::vector<std::unique_ptr<Workload>> workloads_;
   std::vector<Lane> lanes_;
   std::unique_ptr<AggregateController> controller_;

@@ -30,7 +30,7 @@ struct TrainerConfig {
   // exactly that model's cached policies stale, so run() invalidates only
   // its cache between waves (other models' residency and hit rates survive
   // — the per-model invalidation contract of serve/evaluator_pool.hpp).
-  // −1 = unknown/legacy: clear every cache attached to the service.
+  // −1 = unknown: clear every lane's cache and TT in the service's pool.
   int model_id = -1;
 };
 

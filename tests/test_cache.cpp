@@ -10,9 +10,9 @@
 //    bitwise-identical results with strictly fewer backend evaluations
 //    (the ISSUE's acceptance criterion).
 //
-// This file runs under ThreadSanitizer in CI: the concurrency tests are the
-// race-detection surface for the shard spinlocks and the coalescing
-// registry.
+// This file runs under ASan/UBSan and ThreadSanitizer in CI: the
+// concurrency tests are the race-detection surface for the shard spinlocks
+// and the coalescing registry.
 
 #include <gtest/gtest.h>
 
@@ -401,30 +401,54 @@ struct ServiceRun {
   std::size_t backend_samples = 0;
 };
 
+// One lane "net" over `backend`: threshold 4, 2 streams, 800 us stale
+// flush, optionally with an eval cache in front of its queue.
+ModelSpec lane_spec(InferenceBackend& backend, bool cached,
+                    EvalCacheConfig cache_cfg) {
+  ModelSpec spec;
+  spec.name = "net";
+  spec.backend = &backend;
+  spec.batch_threshold = 4;
+  spec.num_streams = 2;
+  spec.stale_flush_us = 800.0;
+  spec.cache = cached;
+  spec.cache_cfg = cache_cfg;
+  return spec;
+}
+
+// Four slots of serial-engine `game` games on lane "net", adaptation off.
+ServiceWorkload serial_games(const Game& game, int playouts) {
+  ServiceWorkload w;
+  w.proto = std::shared_ptr<const Game>(game.clone());
+  w.model = "net";
+  w.slots = 4;
+  w.engine.mcts.num_playouts = playouts;
+  w.engine.scheme = Scheme::kSerial;
+  w.engine.adapt = false;
+  return w;
+}
+
 // Plays `games` Connect4 games on a deterministic serial-engine service
 // (fixed seeds, adaptation off), optionally with an eval cache in front of
-// the shared queue.
+// the lane queue.
 ServiceRun run_service(int games, bool cached) {
   const Connect4 game;
   SyntheticEvaluator eval(game.action_count(), game.encode_size());
   SimGpuBackend sim(eval, GpuTimingModel{});
   CountingBackend backend(sim);
-  EvalCache cache({.capacity = 1 << 12, .shards = 8, .ways = 4});
-  AsyncBatchEvaluator queue(backend, /*batch_threshold=*/4, /*num_streams=*/2,
-                            /*stale_flush_us=*/800.0);
-  if (cached) queue.set_cache(&cache);
+  EvaluatorPool pool;
+  pool.add_model(lane_spec(backend, cached,
+                           {.capacity = 1 << 12, .shards = 8, .ways = 4}));
 
   ServiceConfig sc;
-  sc.engine.mcts.num_playouts = 24;
-  sc.engine.scheme = Scheme::kSerial;
-  sc.engine.adapt = false;
-  sc.slots = 4;
   sc.workers = 4;
-  sc.self_play.max_moves = 20;
+  sc.aggregate.enabled = false;  // threshold pinned at 4
+  ServiceWorkload w = serial_games(game, /*playouts=*/24);
+  w.self_play.max_moves = 20;
 
   ServiceRun run;
   {
-    MatchService service(sc, game, {.batch = &queue});
+    MatchService service(sc, pool, {std::move(w)});
     service.enqueue(games);
     service.start();
     service.drain();
@@ -473,18 +497,15 @@ TEST(CachedService, StopMidGameWithCacheDoesNotDeadlock) {
   SyntheticEvaluator eval(game.action_count(), game.encode_size(),
                           /*latency_us=*/50.0);
   SimGpuBackend sim(eval, GpuTimingModel{});
-  EvalCache cache({.capacity = 1 << 10, .shards = 4, .ways = 4});
-  AsyncBatchEvaluator queue(sim, 4, 2, /*stale_flush_us=*/800.0);
-  queue.set_cache(&cache);
+  EvaluatorPool pool;
+  pool.add_model(lane_spec(sim, /*cached=*/true,
+                           {.capacity = 1 << 10, .shards = 4, .ways = 4}));
 
   ServiceConfig sc;
-  sc.engine.mcts.num_playouts = 48;
-  sc.engine.scheme = Scheme::kSerial;
-  sc.engine.adapt = false;
-  sc.slots = 4;
   sc.workers = 4;
+  sc.aggregate.enabled = false;  // threshold pinned at 4
 
-  MatchService service(sc, game, {.batch = &queue});
+  MatchService service(sc, pool, {serial_games(game, /*playouts=*/48)});
   service.enqueue(64);
   service.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(20));

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "eval/gpu_model.hpp"
 #include "eval/net_evaluator.hpp"
 #include "games/gomoku.hpp"
 #include "mcts/factory.hpp"
@@ -24,6 +25,37 @@ MctsConfig small_search(int playouts) {
   cfg.root_noise = true;
   cfg.seed = 5;
   return cfg;
+}
+
+// A one-lane pool ("net") over `eval`: threshold 1, two streams, no cache,
+// so every leaf request dispatches as soon as it arrives (services over it
+// disable the aggregate controller to keep it so).
+struct NetLane {
+  explicit NetLane(Evaluator& eval) : backend(eval) {
+    ModelSpec spec;
+    spec.name = "net";
+    spec.backend = &backend;
+    spec.batch_threshold = 1;
+    spec.num_streams = 2;
+    spec.cache = false;
+    pool.add_model(spec);
+  }
+
+  CpuBackend backend;
+  EvaluatorPool pool;
+};
+
+// `slots` concurrent games of `game` on lane "net", adaptation off.
+ServiceWorkload net_games(const Game& game, MctsConfig mcts, Scheme scheme,
+                          int slots) {
+  ServiceWorkload w;
+  w.proto = std::shared_ptr<const Game>(game.clone());
+  w.model = "net";
+  w.slots = slots;
+  w.engine.mcts = mcts;
+  w.engine.scheme = scheme;
+  w.engine.adapt = false;
+  return w;
 }
 
 TEST(SelfPlay, EpisodeLabelsFollowOutcome) {
@@ -84,16 +116,15 @@ TEST(Trainer, LossDecreasesOverPipelineRun) {
   Trainer trainer(net, tc, 4096);
 
   // Trainer::run generates episodes through the concurrent match service
-  // (two serial-engine games at a time over the shared evaluator).
+  // (two serial-engine games at a time over the net's lane).
+  NetLane lane(eval);
   ServiceConfig sc;
-  sc.engine.mcts = small_search(40);
-  sc.engine.scheme = Scheme::kSerial;
-  sc.engine.adapt = false;
-  sc.slots = 2;
   sc.workers = 2;
-  sc.self_play.temperature_moves = 3;
-  sc.self_play.augment = true;
-  MatchService service(sc, game, {.evaluator = &eval});
+  sc.aggregate.enabled = false;
+  ServiceWorkload w = net_games(game, small_search(40), Scheme::kSerial, 2);
+  w.self_play.temperature_moves = 3;
+  w.self_play.augment = true;
+  MatchService service(sc, lane.pool, {std::move(w)});
   const auto curve = trainer.run(service, /*episodes=*/8);
   ASSERT_EQ(curve.size(), 8u);
   for (const auto& point : curve) {
@@ -118,14 +149,14 @@ TEST(Trainer, ParallelSearchFeedsSamePipeline) {
   tc.batch_size = 8;
   Trainer trainer(net, tc, 1024);
 
+  NetLane lane(eval);
   ServiceConfig sc;
-  sc.engine.mcts = small_search(32);
-  sc.engine.scheme = Scheme::kLocalTree;
-  sc.engine.workers = 4;
-  sc.engine.adapt = false;
-  sc.slots = 2;
   sc.workers = 2;
-  MatchService service(sc, game, {.evaluator = &eval});
+  sc.aggregate.enabled = false;
+  ServiceWorkload w =
+      net_games(game, small_search(32), Scheme::kLocalTree, 2);
+  w.engine.workers = 4;
+  MatchService service(sc, lane.pool, {std::move(w)});
   const auto curve = trainer.run(service, 2);
   EXPECT_EQ(curve.size(), 2u);
   EXPECT_GT(trainer.buffer().size(), 0u);
@@ -179,13 +210,13 @@ TEST(Checkpointing, TrainedNetSurvivesSaveLoadWithSameSearchBehaviour) {
     tc.sgd_iters_per_move = 2;
     tc.batch_size = 8;
     Trainer trainer(net, tc, 512);
+    NetLane lane(eval);
     ServiceConfig sc;
-    sc.engine.mcts = small_search(24);
-    sc.engine.scheme = Scheme::kSerial;
-    sc.engine.adapt = false;
-    sc.slots = 2;
     sc.workers = 2;
-    MatchService service(sc, game, {.evaluator = &eval});
+    sc.aggregate.enabled = false;
+    MatchService service(sc, lane.pool,
+                         {net_games(game, small_search(24), Scheme::kSerial,
+                                    2)});
     trainer.run(service, 2);
   }
 

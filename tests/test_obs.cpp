@@ -631,16 +631,27 @@ TEST(ServiceLatency, PercentilesMatchExactQuantilesOfTheirDistributions) {
   SyntheticEvaluator eval(game.action_count(), game.encode_size(),
                           /*latency_us=*/50.0);
   SimGpuBackend backend(eval, GpuTimingModel{});
-  AsyncBatchEvaluator queue(backend, /*batch_threshold=*/2, /*streams=*/2,
-                            /*stale_flush_us=*/300.0);
+  EvaluatorPool pool;
+  ModelSpec spec;
+  spec.name = "net";
+  spec.backend = &backend;
+  spec.batch_threshold = 2;
+  spec.num_streams = 2;
+  spec.stale_flush_us = 300.0;
+  spec.cache = false;
+  pool.add_model(spec);
 
   ServiceConfig sc;
-  sc.engine.mcts.num_playouts = 24;
-  sc.engine.scheme = Scheme::kSerial;
-  sc.engine.adapt = false;
-  sc.slots = 4;
   sc.workers = 2;
-  MatchService service(sc, game, {.batch = &queue});
+  sc.aggregate.enabled = false;  // threshold pinned at 2
+  ServiceWorkload w;
+  w.proto = std::shared_ptr<const Game>(game.clone());
+  w.model = "net";
+  w.slots = 4;
+  w.engine.mcts.num_playouts = 24;
+  w.engine.scheme = Scheme::kSerial;
+  w.engine.adapt = false;
+  MatchService service(sc, pool, {w});
   service.enqueue(6);
   service.start();
   service.drain();
@@ -680,11 +691,13 @@ TEST(ServiceLatency, PercentilesMatchExactQuantilesOfTheirDistributions) {
   // the request's life), so the means must be ordered.
   EXPECT_GE(stats.request_latency_ns.mean(), stats.batch_wait_ns.mean());
 
-  // stats() is era-windowed per service: a second service on the SAME queue
+  // stats() is era-windowed per service: a second service on the SAME pool
   // must not inherit this one's request-latency history.
   service.stop();
-  MatchService fresh(sc, game, {.batch = &queue});
+  MatchService fresh(sc, pool, {w});
   EXPECT_EQ(fresh.stats().request_latency_ns.count, 0u);
+  ASSERT_EQ(fresh.stats().lanes.size(), 1u);
+  EXPECT_EQ(fresh.stats().lanes[0].request_latency_ns.count, 0u);
 }
 
 }  // namespace

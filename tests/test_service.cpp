@@ -1,14 +1,14 @@
-// MatchService tests: K concurrent games over one shared AsyncBatchEvaluator
-// complete and aggregate correctly; per-game results are independent of the
-// worker count (fixed seeds); cross-game batch formation beats the starved
-// single-game producer at the same threshold (the ISSUE-3 acceptance
-// criterion); shutdown mid-game leaves no stuck threads. Plus the
+// MatchService tests: K concurrent games over one shared lane queue complete
+// and aggregate correctly; per-game results are independent of the worker
+// count (fixed seeds) and equal to a standalone engine's game at the same
+// derived seeds; cross-game batch formation beats the starved single-game
+// producer at the same threshold; shutdown mid-game leaves no stuck
+// threads. Plus the
 // multi-producer AsyncBatchEvaluator extensions the service relies on:
 // per-submitter tagging, the batch-fill histogram, and the re-flushing
 // drain() that wakes blocked submitters.
 //
-// This binary runs under ThreadSanitizer in CI (alongside test_eval and
-// test_local_tree_stress).
+// This binary runs under ASan/UBSan and ThreadSanitizer in CI.
 
 #include <gtest/gtest.h>
 
@@ -17,31 +17,54 @@
 #include "eval/gpu_model.hpp"
 #include "games/gomoku.hpp"
 #include "serve/match_service.hpp"
+#include "train/self_play.hpp"
 
 namespace apm {
 namespace {
 
-// Deterministic results (hash of the input state), zero compute: per-game
-// move sequences depend only on seeds, never on batch composition.
+// A one-lane pool ("net", no cache) over a deterministic backend (hash of
+// the input state), zero compute: per-game move sequences depend only on
+// seeds, never on batch composition.
 struct BatchRig {
   BatchRig(const Game& g, int threshold, int streams, double stale_us,
            double latency_us = 0.0)
       : eval(g.action_count(), g.encode_size(), latency_us),
-        backend(eval, GpuTimingModel{}),
-        queue(backend, threshold, streams, stale_us) {}
+        backend(eval, GpuTimingModel{}) {
+    ModelSpec spec;
+    spec.name = "net";
+    spec.backend = &backend;
+    spec.batch_threshold = threshold;
+    spec.num_streams = streams;
+    spec.stale_flush_us = stale_us;
+    spec.cache = false;
+    pool.add_model(spec);
+  }
+
+  AsyncBatchEvaluator& queue() { return pool.queue(0); }
 
   SyntheticEvaluator eval;
   SimGpuBackend backend;
-  AsyncBatchEvaluator queue;
+  EvaluatorPool pool;
 };
 
-ServiceConfig serial_service(int playouts, int slots, int workers) {
+// `slots` serial-engine games of `game` on the rig's lane, adaptation off.
+ServiceWorkload serial_games(const Game& game, int playouts, int slots) {
+  ServiceWorkload w;
+  w.proto = std::shared_ptr<const Game>(game.clone());
+  w.model = "net";
+  w.slots = slots;
+  w.engine.mcts.num_playouts = playouts;
+  w.engine.scheme = Scheme::kSerial;
+  w.engine.adapt = false;
+  return w;
+}
+
+// The aggregate controller stays off: every test here pins the lane's
+// threshold.
+ServiceConfig pinned_service(int workers) {
   ServiceConfig sc;
-  sc.engine.mcts.num_playouts = playouts;
-  sc.engine.scheme = Scheme::kSerial;
-  sc.engine.adapt = false;
-  sc.slots = slots;
   sc.workers = workers;
+  sc.aggregate.enabled = false;
   return sc;
 }
 
@@ -49,9 +72,8 @@ TEST(MatchService, ConcurrentGamesCompleteOnSharedBatchQueue) {
   const Gomoku game = make_tictactoe();
   BatchRig rig(game, /*threshold=*/3, /*streams=*/2, /*stale_us=*/300.0);
 
-  MatchService service(serial_service(/*playouts=*/24, /*slots=*/4,
-                                      /*workers=*/4),
-                       game, {.batch = &rig.queue});
+  MatchService service(pinned_service(4), rig.pool,
+                       {serial_games(game, /*playouts=*/24, /*slots=*/4)});
   service.enqueue(8);
   service.start();
   service.drain();
@@ -100,9 +122,8 @@ TEST(MatchService, ResultsIndependentOfWorkerCount) {
 
   const auto play = [&](int workers) {
     BatchRig rig(game, /*threshold=*/3, /*streams=*/1, /*stale_us=*/200.0);
-    MatchService service(serial_service(/*playouts=*/20, /*slots=*/3,
-                                        workers),
-                         game, {.batch = &rig.queue});
+    MatchService service(pinned_service(workers), rig.pool,
+                         {serial_games(game, /*playouts=*/20, /*slots=*/3)});
     service.enqueue(6);
     service.start();
     service.drain();
@@ -128,6 +149,60 @@ TEST(MatchService, ResultsIndependentOfWorkerCount) {
   }
 }
 
+TEST(MatchService, GameMatchesStandaloneEngine) {
+  // The seed contract: game i depends only on (workload, i). Each served
+  // game must equal the game a standalone engine plays at the same derived
+  // seeds — engine seed + i·engine_seed_stride, self-play seed +
+  // i·game_seed_stride — driven move by move as worker_loop drives it.
+  // Root noise makes the engine seed matter, the temperature moves the
+  // self-play seed.
+  const Gomoku game = make_tictactoe();
+  BatchRig rig(game, /*threshold=*/3, /*streams=*/2, /*stale_us=*/200.0);
+  ServiceWorkload tmpl = serial_games(game, /*playouts=*/24, /*slots=*/3);
+  tmpl.engine.mcts.root_noise = true;
+  tmpl.engine.mcts.seed = 41;
+  tmpl.self_play.seed = 97;
+  const ServiceConfig sc = pinned_service(2);
+
+  MatchService service(sc, rig.pool, {tmpl});
+  service.enqueue(6);
+  service.start();
+  service.drain();
+  const std::vector<GameRecord> served = service.take_completed();
+  service.stop();
+  ASSERT_EQ(served.size(), 6u);
+
+  for (int i = 0; i < 6; ++i) {
+    EngineConfig ec = tmpl.engine;
+    ec.mcts.seed = tmpl.engine.mcts.seed +
+                   static_cast<std::uint64_t>(i) * sc.engine_seed_stride;
+    SelfPlayConfig sp = tmpl.self_play;
+    sp.seed = tmpl.self_play.seed +
+              static_cast<std::uint64_t>(i) * sc.game_seed_stride;
+    SearchEngine engine(ec, {.evaluator = &rig.eval});
+    EpisodeRunner runner(game, sp);
+    while (!runner.done()) {
+      runner.step([&](const Game& env) { return engine.search(env); },
+                  [&](int action) { engine.advance(action); });
+    }
+    std::vector<TrainSample> samples;
+    const EpisodeStats ref = runner.finish(
+        [&](TrainSample&& s) { samples.push_back(std::move(s)); });
+
+    const GameRecord& rec = served[static_cast<std::size_t>(i)];
+    ASSERT_EQ(rec.game_id, i);
+    ASSERT_TRUE(rec.completed);
+    EXPECT_EQ(rec.stats.winner, ref.winner) << "game " << i;
+    EXPECT_EQ(rec.stats.moves, ref.moves) << "game " << i;
+    ASSERT_EQ(rec.samples.size(), samples.size()) << "game " << i;
+    for (std::size_t s = 0; s < samples.size(); ++s) {
+      EXPECT_EQ(rec.samples[s].state, samples[s].state) << "game " << i;
+      EXPECT_EQ(rec.samples[s].pi, samples[s].pi) << "game " << i;
+      EXPECT_EQ(rec.samples[s].z, samples[s].z) << "game " << i;
+    }
+  }
+}
+
 TEST(MatchService, CrossGameBatchFillBeatsSingleGame) {
   // The acceptance criterion: K >= 4 concurrent serial games sharing one
   // queue reach a higher mean batch fill than the single-game producer at
@@ -137,9 +212,9 @@ TEST(MatchService, CrossGameBatchFillBeatsSingleGame) {
 
   const auto mean_fill = [&](int concurrent_games) {
     BatchRig rig(game, /*threshold=*/4, /*streams=*/1, /*stale_us=*/2000.0);
-    MatchService service(serial_service(/*playouts=*/48, concurrent_games,
-                                        concurrent_games),
-                         game, {.batch = &rig.queue});
+    MatchService service(
+        pinned_service(concurrent_games), rig.pool,
+        {serial_games(game, /*playouts=*/48, concurrent_games)});
     service.enqueue(concurrent_games);
     service.start();
     service.drain();
@@ -164,9 +239,8 @@ TEST(MatchService, StopMidGameLeavesNoStuckThreads) {
   BatchRig rig(game, /*threshold=*/4, /*streams=*/1, /*stale_us=*/200.0,
                /*latency_us=*/50.0);
 
-  MatchService service(serial_service(/*playouts=*/400, /*slots=*/2,
-                                      /*workers=*/2),
-                       game, {.batch = &rig.queue});
+  MatchService service(pinned_service(2), rig.pool,
+                       {serial_games(game, /*playouts=*/400, /*slots=*/2)});
   service.enqueue(4);
   service.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -183,8 +257,8 @@ TEST(MatchService, StopMidGameLeavesNoStuckThreads) {
   // stop() is idempotent and safe to race (second call waits, no re-join).
   service.stop();
   // The shared queue stays serviceable after the shutdown.
-  rig.queue.drain();
-  const BatchQueueStats qs = rig.queue.stats();
+  rig.queue().drain();
+  const BatchQueueStats qs = rig.queue().stats();
   EXPECT_GT(qs.submitted, 0u);
 }
 

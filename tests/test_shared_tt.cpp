@@ -1,17 +1,16 @@
 // Lane-shared transposition memory tests (ISSUE 9): one TranspositionTable
 // per evaluator-pool lane, grafting across every game the lane seats.
 // Covers: worker-count independence of service results when K games share a
-// lane table under GraftMode::kPriors (grafts install exactly what a cold
-// expand would — results are a pure function of game seeds, whatever
-// sibling warmed the table); cross-game announce/pending coalescing through
-// the shared table; the lane-owned lifecycle (invalidate(id) clears that
-// lane's TT and cache, foreign lanes keep theirs); a contended tiny-table
-// stress mixing probe/announce/store with lane-owner clear()/
-// bump_generation()/set_lane_inflight() (the TSan target); the accounting
-// consistency PR 7 deferred (per-move and per-lane graft rates are
-// well-formed leaf-only fractions that reconcile with the service totals);
-// shared-clock monotonicity across another engine's reset_game(); and a
-// smoke run of the kStats-vs-kPriors graft gate.
+// lane table (grafts install exactly what a cold expand would — results are
+// a pure function of game seeds, whatever sibling warmed the table);
+// cross-game announce/pending coalescing through the shared table; the
+// lane-owned lifecycle (invalidate(id) clears that lane's TT and cache,
+// foreign lanes keep theirs); a contended tiny-table stress mixing
+// probe/announce/store with lane-owner clear()/bump_generation() (the TSan
+// target); graft accounting consistency (per-move and per-lane graft rates
+// are well-formed leaf-only fractions that reconcile with the service
+// totals); and shared-clock monotonicity across another engine's
+// reset_game().
 //
 // This binary runs under ASan/UBSan and ThreadSanitizer in CI.
 
@@ -28,7 +27,6 @@
 #include "games/gomoku.hpp"
 #include "mcts/engine.hpp"
 #include "mcts/transposition.hpp"
-#include "serve/graft_gate.hpp"
 #include "serve/match_service.hpp"
 
 namespace apm {
@@ -67,7 +65,6 @@ TtConfig lane_tt(std::size_t capacity = 1 << 14, int max_edges = 16) {
   tt.capacity = capacity;
   tt.ways = 4;
   tt.max_edges = max_edges;
-  tt.graft = GraftMode::kPriors;
   return tt;
 }
 
@@ -155,20 +152,6 @@ TEST(SharedTt, AnnounceFromOneGameIsPendingForAnother) {
   EXPECT_EQ(view.inflight, 0);
   EXPECT_FLOAT_EQ(view.value, 0.25f);
   EXPECT_EQ(tt.stats().pending, 1u);
-}
-
-TEST(SharedTt, LaneInflightHintRidesEveryHit) {
-  TranspositionTable tt(lane_tt(64));
-  const TtEdge edges[1] = {make_edge(0, 1.0f)};
-  tt.store(0xABCULL, 0.0f, 1, edges, 1, false);
-
-  tt.set_lane_inflight(6.0);  // the lane owner's Σ over live games
-  TtView view;
-  ASSERT_EQ(tt.probe(0xABCULL, view), TtProbeResult::kHit);
-  EXPECT_DOUBLE_EQ(view.lane_inflight, 6.0);
-  tt.set_lane_inflight(0.0);
-  ASSERT_EQ(tt.probe(0xABCULL, view), TtProbeResult::kHit);
-  EXPECT_DOUBLE_EQ(view.lane_inflight, 0.0);  // private-table behaviour
 }
 
 // --- lane-owned lifecycle -------------------------------------------------
@@ -289,7 +272,6 @@ TEST(SharedTt, ContendedTinyTableStaysConsistent) {
   threads.emplace_back([&tt] {  // the lane owner
     for (int i = 0; i < 200; ++i) {
       tt.bump_generation();
-      tt.set_lane_inflight(static_cast<double>(i % 8));
       if (i % 16 == 0) tt.clear();
       std::this_thread::yield();
     }
@@ -367,41 +349,6 @@ TEST(SharedTt, GraftAccountingReconcilesAcrossLayers) {
   // paths may probe more than they graft, never the reverse).
   EXPECT_GE(lane.tt.hits, lane.tt_grafts);
   EXPECT_LE(lane.tt.entries, lane.tt.capacity);
-}
-
-// --- graft gate smoke -----------------------------------------------------
-
-TEST(SharedTt, GraftGateProducesWellFormedVerdict) {
-  const Connect4 proto;
-  ModelRig rig(proto);
-  EvaluatorPool pool;
-  ModelSpec spec;
-  spec.name = "net";
-  spec.backend = &rig.backend;
-  spec.batch_threshold = 1;
-  spec.stale_flush_us = 300.0;
-  pool.add_model(spec);
-
-  GraftGateConfig cfg;
-  cfg.model = "net";
-  cfg.games = 2;
-  cfg.opening_moves = 2;
-  cfg.engine = serial_engine(32);
-  cfg.engine.tt = lane_tt(1 << 10);
-  cfg.max_moves = 30;
-
-  const MatchGateReport rep = run_graft_gate(pool, proto, cfg);
-  EXPECT_EQ(rep.candidate, "tt-graft-kstats");
-  EXPECT_EQ(rep.baseline, "tt-graft-kpriors");
-  EXPECT_EQ(rep.candidate_wins + rep.candidate_losses + rep.draws,
-            rep.games);
-  EXPECT_GE(rep.candidate_score, 0.0);
-  EXPECT_LE(rep.candidate_score, 1.0);
-  // Deterministic protocol: a second run is the same evidence.
-  const MatchGateReport again = run_graft_gate(pool, proto, cfg);
-  EXPECT_EQ(again.candidate_wins, rep.candidate_wins);
-  EXPECT_EQ(again.candidate_losses, rep.candidate_losses);
-  EXPECT_EQ(again.draws, rep.draws);
 }
 
 }  // namespace

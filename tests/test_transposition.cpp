@@ -1,7 +1,7 @@
 // Transposition-table tests (ISSUE 7): unit behaviour of the bucketed TT
 // (round trips, announce/pending coalescing, merge folding, replacement
 // scoring, generation aging, inflight pinning), graft-vs-cold-start search
-// equivalence on Connect4 under GraftMode::kPriors, driver coverage for the
+// equivalence on Connect4, driver coverage for the
 // LocalTree batched-probe path, a SharedTree contended stress run over a
 // deliberately tiny table (the TSan target), and the SearchEngine glue:
 // archive-on-advance, epoch/generation lockstep, background-compaction
