@@ -85,7 +85,22 @@ struct SearchMetrics {
   double select_seconds = 0.0;
   double expand_seconds = 0.0;
   double backup_seconds = 0.0;
-  double eval_seconds = 0.0;  // includes time blocked waiting for results
+  // Evaluation time, per driver:
+  //  * serial and shared tree over a CPU evaluator: leaf encode + evaluate()
+  //    on the searching thread;
+  //  * local tree over its CPU worker pool: evaluate() on the worker, as
+  //    the worker timed it (the master encodes);
+  //  * any driver over a batch queue: time its searching threads spend
+  //    blocked on the queue's results.
+  // So on a CPU evaluator eval_seconds / eval_requests is one evaluation's
+  // cost whichever scheme measured it.
+  double eval_seconds = 0.0;
+  // Local tree over a CPU evaluator pool: Σ per request of (submit →
+  // completion picked up by the master) − the worker's evaluation time,
+  // i.e. the two thread hand-offs around each evaluation, over
+  // handoff_requests requests. Zero for every other driver.
+  double handoff_seconds = 0.0;
+  std::size_t handoff_requests = 0;
   std::size_t nodes = 0;
   std::size_t edges = 0;
   int max_depth = 0;

@@ -114,8 +114,6 @@ SearchTree::NodeArchiver SearchEngine::make_archiver() {
       out[i].action = e.action;
       out[i].prior = e.prior;
       out[i].visits = e.visits.load(std::memory_order_relaxed);
-      out[i].value_sum =
-          static_cast<double>(e.value_sum.load(std::memory_order_relaxed));
     }
     res_.tt->store(n.hash, n.value, /*depth=*/0, out, n.num_edges,
                    /*release_inflight=*/false);

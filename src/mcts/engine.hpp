@@ -62,7 +62,7 @@ struct EngineConfig {
   AdaptiveConfig adaptive;
   HardwareSpec hw;
   // Design-time seed for the live cost model; zero-initialised costs are
-  // fine (the first observed move dominates via EWMA warmup).
+  // fine (the first observed move replaces every zero cost outright).
   ProfiledCosts seed_costs;
 
   // Transposition table (tt.enabled builds one, owned by the engine and

@@ -1,5 +1,6 @@
 #include "mcts/local_tree.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "mcts/selection.hpp"
@@ -19,6 +20,11 @@ struct Completion {
   std::uint64_t key = 0;     // leaf eval_key, for the TT store
   std::int32_t depth = 0;
   bool announced = false;    // a TT in-flight mark to release at store time
+  // CPU pool mode: started when the request was submitted, and the time the
+  // worker spent inside evaluate(). The rest of the round trip is the
+  // hand-off (submit → worker wake, completion push → master pickup).
+  Timer since_submit;
+  double eval_seconds = 0.0;
 };
 
 }  // namespace
@@ -99,6 +105,12 @@ SearchResult LocalTreeMcts::search(const Game& env) {
 
   // Applies one completion: expansion + backup on the master thread.
   auto process = [&](Completion&& c) {
+    if (pool_ != nullptr) {
+      metrics.eval_seconds += c.eval_seconds;
+      metrics.handoff_seconds +=
+          std::max(0.0, c.since_submit.elapsed_seconds() - c.eval_seconds);
+      ++metrics.handoff_requests;
+    }
     Timer phase;
     ops.note_eval(c.node, c.key, c.out.value);
     ops.expand_from_legal(c.node, c.legal, c.out.policy);
@@ -118,10 +130,13 @@ SearchResult LocalTreeMcts::search(const Game& env) {
     ++completed;
   };
 
+  // Over the batch queue the master's blocking wait is the eval cost it
+  // sees; in pool mode the workers time their own evaluations instead (with
+  // N requests overlapping, the master waits for only part of each one).
   auto wait_for_completion = [&] {
     Timer wait;
     auto c = completions.pop();
-    metrics.eval_seconds += wait.elapsed_seconds();
+    if (batch_ != nullptr) metrics.eval_seconds += wait.elapsed_seconds();
     APM_CHECK_MSG(c.has_value(), "completion queue closed prematurely");
     process(std::move(*c));
   };
@@ -234,14 +249,18 @@ SearchResult LocalTreeMcts::search(const Game& env) {
           const std::int32_t depth = outcome.depth;
           auto legal = std::move(c.legal);
           pool_->submit([this, &completions, state, node_id, key, depth,
-                         announced, legal = std::move(legal)]() mutable {
+                         announced, legal = std::move(legal),
+                         since_submit = Timer()]() mutable {
             Completion done;
             done.node = node_id;
             done.legal = std::move(legal);
             done.key = key;
             done.depth = depth;
             done.announced = announced;
+            done.since_submit = since_submit;
+            const Timer eval;
             eval_->evaluate(state->data(), done.out);
+            done.eval_seconds = eval.elapsed_seconds();
             completions.push(std::move(done));
           });
         }

@@ -19,6 +19,8 @@
 //
 // Evaluation flavours mirror the shared-tree scheme:
 //  * CPU mode — a dedicated pool of N threads, one evaluation per task.
+//    Each worker times its own evaluate(); the master records the rest of
+//    every request's round trip as hand-off time (SearchMetrics).
 //  * Accelerator mode — an AsyncBatchEvaluator with tunable threshold B
 //    and N/B streams (§3.3); B is chosen by Algorithm 4 at config time.
 

@@ -171,7 +171,6 @@ void TranspositionTable::store(std::uint64_t key, float value,
       if (same_actions) {
         for (std::int32_t i = 0; i < count; ++i) {
           stored[i].visits += edges[i].visits;
-          stored[i].value_sum += edges[i].value_sum;
         }
         match->visits += incoming_visits;
         match->depth = std::min(match->depth, depth);
@@ -306,7 +305,6 @@ void tt_store_expansion(TranspositionTable* tt, SearchTree& tree, NodeId node,
     out[i].action = e.action;
     out[i].prior = e.prior;
     out[i].visits = 0;  // fresh expansion: the archive pass folds real mass
-    out[i].value_sum = 0.0;
   }
   tt->store(key, value, depth, out, count, release_inflight);
 }

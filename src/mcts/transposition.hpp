@@ -65,13 +65,12 @@ struct TtConfig {
 
 enum class TtProbeResult { kMiss, kHit, kPending };
 
-// One stored edge: prior at expansion plus the visit mass folded back by
+// One stored edge: prior at expansion plus the visit count folded back by
 // the archive pass (zero right after a store-at-expansion).
 struct TtEdge {
   std::int32_t action = -1;
   float prior = 0.0f;
   std::int64_t visits = 0;
-  double value_sum = 0.0;
 };
 
 // Probe output. Caller-owned so per-worker scratch avoids allocation in

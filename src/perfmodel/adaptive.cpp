@@ -12,6 +12,12 @@ double ewma(double current, double sample, double alpha) {
   return (1.0 - alpha) * current + alpha * sample;
 }
 
+// A cost still at its zero default has no estimate to blend with: its first
+// sample is taken verbatim, not read as alpha × sample.
+double fold(double current, double sample, double alpha, bool first) {
+  return first && current == 0.0 ? sample : ewma(current, sample, alpha);
+}
+
 }  // namespace
 
 AdaptiveController::AdaptiveController(HardwareSpec hw,
@@ -103,9 +109,16 @@ ProfiledCosts AdaptiveController::costs_from_metrics(
   sample.t_select_us = metrics.select_seconds * 1e6 / playouts;
   sample.t_expand_us = metrics.expand_seconds * 1e6 / expansions;
   sample.t_backup_us = metrics.backup_seconds * 1e6 / playouts;
-  // eval_seconds includes queue/blocking time — the latency a worker
-  // actually experiences per request, which is what the wave models bound.
+  // On a CPU evaluator eval_seconds is the evaluations' own time under every
+  // scheme (see SearchMetrics); over a batch queue it is the blocking wait,
+  // the latency the searching thread experiences per request.
   sample.t_dnn_cpu_us = metrics.eval_seconds * 1e6 / waited;
+  // Zero when no request crossed to a local-tree worker this move;
+  // observe_costs() then keeps the last measured hand-off.
+  if (metrics.handoff_requests > 0) {
+    sample.t_handoff_us = metrics.handoff_seconds * 1e6 /
+                          static_cast<double>(metrics.handoff_requests);
+  }
   sample.cache_hit_rate =
       metrics.eval_requests > 0
           ? static_cast<double>(
@@ -134,20 +147,29 @@ void AdaptiveController::observe(const SearchMetrics& metrics) {
 
 void AdaptiveController::observe_costs(const ProfiledCosts& sample) {
   const double a = cfg_.ewma_alpha;
-  costs_.t_select_us = ewma(costs_.t_select_us, sample.t_select_us, a);
-  costs_.t_expand_us = ewma(costs_.t_expand_us, sample.t_expand_us, a);
-  costs_.t_backup_us = ewma(costs_.t_backup_us, sample.t_backup_us, a);
-  costs_.t_dnn_cpu_us = ewma(costs_.t_dnn_cpu_us, sample.t_dnn_cpu_us, a);
+  const bool first = observed_moves_ == 0;
+  costs_.t_select_us = fold(costs_.t_select_us, sample.t_select_us, a, first);
+  costs_.t_expand_us = fold(costs_.t_expand_us, sample.t_expand_us, a, first);
+  costs_.t_backup_us = fold(costs_.t_backup_us, sample.t_backup_us, a, first);
+  costs_.t_dnn_cpu_us =
+      fold(costs_.t_dnn_cpu_us, sample.t_dnn_cpu_us, a, first);
   costs_.t_shared_access_us =
-      ewma(costs_.t_shared_access_us, sample.t_shared_access_us, a);
+      fold(costs_.t_shared_access_us, sample.t_shared_access_us, a, first);
+  // Only a local-tree move over the CPU pool measures the hand-off; every
+  // other move leaves the last measurement in place, and the first one
+  // replaces the zero default outright.
+  if (sample.t_handoff_us > 0.0) {
+    costs_.t_handoff_us =
+        fold(costs_.t_handoff_us, sample.t_handoff_us, a, /*first=*/true);
+  }
   costs_.cache_hit_rate =
       ewma(costs_.cache_hit_rate, sample.cache_hit_rate, a);
   costs_.tt_graft_rate =
       ewma(costs_.tt_graft_rate, sample.tt_graft_rate, a);
-  costs_.mean_depth = ewma(costs_.mean_depth, sample.mean_depth, a);
+  costs_.mean_depth = fold(costs_.mean_depth, sample.mean_depth, a, first);
   costs_.tree_bytes = static_cast<std::size_t>(
-      ewma(static_cast<double>(costs_.tree_bytes),
-           static_cast<double>(sample.tree_bytes), a));
+      fold(static_cast<double>(costs_.tree_bytes),
+           static_cast<double>(sample.tree_bytes), a, first));
   ++observed_moves_;
 }
 

@@ -86,7 +86,9 @@ class AdaptiveController {
                      AdaptiveConfig cfg, Scheme scheme, int workers,
                      int batch_size = 1);
 
-  // Folds one move's measured metrics into the live costs (EWMA).
+  // Folds one move's measured metrics into the live costs (EWMA). On the
+  // first observation a cost still at its zero default takes the sample
+  // verbatim; the hand-off folds only from moves that measured one.
   void observe(const SearchMetrics& metrics);
 
   // Folds an externally supplied cost sample (tests, DES replays).

@@ -60,7 +60,8 @@ double PerfModel::shared_gpu_wave_us(int n) const {
 double PerfModel::local_cpu_wave_us(int n) const {
   APM_CHECK(n >= 1);
   return std::max(local_intree_us() * n,
-                  costs_.t_dnn_cpu_us * eval_miss_rate());
+                  (costs_.t_dnn_cpu_us + costs_.t_handoff_us) *
+                      eval_miss_rate());
 }
 
 double PerfModel::local_gpu_wave_us(int n, int b) const {

@@ -51,7 +51,12 @@ class PerfModel {
   double shared_gpu_wave_us(int n) const;
 
   // --- Eq. 5: local tree, CPU-only ---------------------------------------
-  // T ≈ max((T_select + T_backup)·N, T_DNN^CPU)
+  // T ≈ max((T_select + T_backup)·N, T_DNN^CPU + T_handoff)
+  // T_handoff is the master↔worker round trip around each evaluation
+  // (pool submit → worker wake, completion push → master wake). In-flight
+  // requests are capped at N, so every slot pays it once per wave, as
+  // WU-UCT's master/worker split pays its communication. Both terms
+  // scale with the miss rate: a grafted leaf never reaches a worker.
   double local_cpu_wave_us(int n) const;
 
   // --- Eq. 6: local tree, CPU-GPU with sub-batches of size B -------------

@@ -18,6 +18,11 @@ struct ProfiledCosts {
   double t_expand_us = 0.0;  // one node expansion
   double t_backup_us = 0.0;  // one backup walk
   double t_dnn_cpu_us = 0.0; // one inference on one CPU thread
+  // Local tree over a CPU worker pool: per request, the two thread
+  // hand-offs around the evaluation (submit → worker wake, completion push
+  // → master pickup). Only a live local-tree move measures it; the
+  // design-time profiler leaves it at 0.
+  double t_handoff_us = 0.0;
   // Per-worker shared-memory staggering cost (T_shared-tree-access of
   // Eqs. 3/4); taken from HardwareSpec documentation, scaled by the
   // measured mean path length (each traversed node is a DDR touch).

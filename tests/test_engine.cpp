@@ -164,6 +164,76 @@ TEST(AdaptiveController, CacheHitRateLowersEffectiveEvalCost) {
   EXPECT_LT(warm_model.shared_gpu_wave_us(8), cold_model.shared_gpu_wave_us(8));
 }
 
+TEST(AdaptiveController, ZeroSeedTakesFirstSampleVerbatim) {
+  // A controller seeded with the all-zero ProfiledCosts{} has no estimate
+  // to blend with: after one observation its costs are the sample itself,
+  // not alpha x sample. Hit and graft rates keep their EWMA.
+  AdaptiveConfig cfg = trusting_config({1, 2, 3});
+  cfg.ewma_alpha = 0.3;
+  AdaptiveController ctl(flat_hardware(), ProfiledCosts{}, cfg,
+                         Scheme::kSerial, 1);
+  ProfiledCosts sample = make_costs(5.0, 70.0, 0.5);
+  sample.t_handoff_us = 30.0;
+  sample.cache_hit_rate = 0.5;
+  sample.tt_graft_rate = 0.2;
+  ctl.observe_costs(sample);
+  const ProfiledCosts& c = ctl.costs();
+  EXPECT_DOUBLE_EQ(c.t_select_us, sample.t_select_us);
+  EXPECT_DOUBLE_EQ(c.t_expand_us, sample.t_expand_us);
+  EXPECT_DOUBLE_EQ(c.t_backup_us, sample.t_backup_us);
+  EXPECT_DOUBLE_EQ(c.t_dnn_cpu_us, sample.t_dnn_cpu_us);
+  EXPECT_DOUBLE_EQ(c.t_shared_access_us, sample.t_shared_access_us);
+  EXPECT_DOUBLE_EQ(c.t_handoff_us, sample.t_handoff_us);
+  EXPECT_DOUBLE_EQ(c.mean_depth, sample.mean_depth);
+  EXPECT_EQ(c.tree_bytes, sample.tree_bytes);
+  EXPECT_DOUBLE_EQ(c.cache_hit_rate, 0.3 * 0.5);
+  EXPECT_DOUBLE_EQ(c.tt_graft_rate, 0.3 * 0.2);
+
+  // From the second observation on, every cost blends.
+  ctl.observe_costs(make_costs(5.0, 170.0, 0.5));
+  EXPECT_DOUBLE_EQ(ctl.costs().t_dnn_cpu_us, 0.7 * 70.0 + 0.3 * 170.0);
+}
+
+TEST(AdaptiveController, HandoffSurvivesSharedTreeMoves) {
+  // Only a local-tree move over the CPU pool measures the hand-off. The
+  // shared-tree moves that follow carry no hand-off sample, and must not
+  // fold a 0 into it: otherwise the controller forgets why it left local
+  // tree and switches straight back.
+  AdaptiveConfig cfg = trusting_config({3});
+  cfg.ewma_alpha = 0.3;
+  // No margin: without the hand-off, local tree (70 us / 3) would beat
+  // shared tree ((7 + 70) us / 3) and the controller would switch back.
+  cfg.hysteresis = 0.0;
+  AdaptiveController ctl(flat_hardware(), ProfiledCosts{}, cfg,
+                         Scheme::kLocalTree, 3);
+  SearchMetrics local;
+  local.playouts = 800;
+  local.workers = 3;
+  local.select_seconds = 800 * 5e-6;
+  local.expand_seconds = 800 * 1.5e-6;
+  local.backup_seconds = 800 * 0.5e-6;
+  local.expansions = 800;
+  local.eval_requests = 800;
+  local.eval_seconds = 800 * 70e-6;
+  local.handoff_seconds = 800 * 30e-6;
+  local.handoff_requests = 800;
+  local.sum_depth = 800 * 4.0;
+  ctl.observe(local);
+  EXPECT_NEAR(ctl.costs().t_handoff_us, 30.0, 1e-9);
+  EXPECT_TRUE(ctl.plan().switched);
+  EXPECT_EQ(ctl.scheme(), Scheme::kSharedTree);
+
+  SearchMetrics shared = local;
+  shared.handoff_seconds = 0.0;
+  shared.handoff_requests = 0;
+  for (int move = 0; move < 5; ++move) {
+    ctl.observe(shared);
+    EXPECT_FALSE(ctl.plan().switched) << "move " << move;
+    EXPECT_NEAR(ctl.costs().t_handoff_us, 30.0, 1e-9) << "move " << move;
+  }
+  EXPECT_EQ(ctl.scheme(), Scheme::kSharedTree);
+}
+
 TEST(AdaptiveController, HysteresisPreventsFlappingOnNoisyCosts) {
   const HardwareSpec hw = flat_hardware();
   // Near the N=8 crossover: local wave 8·(I+1) ≈ shared wave 8·A + I+1 + D

@@ -94,6 +94,26 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+TEST(LocalTree, PoolModeReportsWorkerEvalTime) {
+  // The workers time their own evaluations. With 3 requests in flight the
+  // master blocks for only part of each one, so timing its wait would read
+  // about a third of the evaluation. A busy-wait evaluation cannot return
+  // early, so the per-request time is at least the latency.
+  SyntheticGame game(8, 20);
+  SyntheticEvaluator eval(game.action_count(), game.encode_size(),
+                          /*latency_us=*/300.0);
+  LocalTreeMcts search(cfg(200), 3, eval);
+  const SearchResult r = search.search(game);
+  const SearchMetrics& m = r.metrics;
+  ASSERT_GT(m.eval_requests, 0u);
+  EXPECT_GE(m.eval_seconds / static_cast<double>(m.eval_requests),
+            0.9 * 300e-6);
+  // Every request crossed to a worker and back; the rest of its round trip
+  // is the hand-off.
+  EXPECT_EQ(m.handoff_requests, m.eval_requests);
+  EXPECT_GE(m.handoff_seconds, 0.0);
+}
+
 TEST(LocalTree, ManyWorkersOnTinyBudget) {
   // More workers than playouts: capacity gate must not deadlock or
   // over-issue.

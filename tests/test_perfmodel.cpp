@@ -45,6 +45,34 @@ TEST(PerfModel, LocalCpuWaveIsMaxOfIntreeAndDnn) {
   EXPECT_GT(m.local_cpu_wave_us(512), m.local_cpu_wave_us(256) * 1.5);
 }
 
+TEST(PerfModel, LocalCpuWaveIncludesHandoff) {
+  // A CPU net at ~70 us per evaluation and 7 us of in-tree work per
+  // iteration. Each local-tree request also pays ~30 us of thread hand-offs
+  // (pool submit -> worker wake, completion push -> master wake), and with
+  // N requests in flight that sits on every slot's cycle: local tree then
+  // loses to shared tree at N = 3. Without the hand-off term Eq. 5 picks
+  // local tree.
+  HardwareSpec hw;
+  hw.ddr_access_us = 0.0;
+  hw.llc_access_us = 0.0;
+  ProfiledCosts c;
+  c.t_select_us = 5.0;
+  c.t_expand_us = 1.5;
+  c.t_backup_us = 0.5;
+  c.t_dnn_cpu_us = 70.0;
+  c.mean_depth = 4.0;
+  c.t_shared_access_us = 0.2;
+  c.t_handoff_us = 30.0;
+  const PerfModel with_handoff(hw, c);
+  EXPECT_NEAR(with_handoff.local_cpu_wave_us(3), 100.0, 1e-9);
+  EXPECT_EQ(with_handoff.decide_cpu(3).scheme, Scheme::kSharedTree);
+
+  c.t_handoff_us = 0.0;
+  const PerfModel without(hw, c);
+  EXPECT_NEAR(without.local_cpu_wave_us(3), 70.0, 1e-9);
+  EXPECT_EQ(without.decide_cpu(3).scheme, Scheme::kLocalTree);
+}
+
 TEST(PerfModel, AmortizedSharedCpuDecreasesThenSaturates) {
   PerfModel m(HardwareSpec{}, paper_like_costs());
   EXPECT_GT(m.shared_cpu_us(1), m.shared_cpu_us(16));

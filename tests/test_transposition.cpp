@@ -31,13 +31,11 @@ TtConfig table_config(std::size_t capacity, int ways, int max_edges = 8) {
   return cfg;
 }
 
-TtEdge make_edge(int action, float prior, std::int64_t visits = 0,
-                 double value_sum = 0.0) {
+TtEdge make_edge(int action, float prior, std::int64_t visits = 0) {
   TtEdge e;
   e.action = action;
   e.prior = prior;
   e.visits = visits;
-  e.value_sum = value_sum;
   return e;
 }
 
@@ -94,8 +92,7 @@ TEST(TranspositionTable, SecondStoreOfSamePositionMergesVisitMass) {
 
   // The archive pass re-stores the same position with live visit mass; the
   // memo (priors/value) is kept, the mass folds in.
-  const TtEdge again[2] = {make_edge(1, 0.9f, 5, 2.5),
-                           make_edge(4, 0.1f, 3, -1.0)};
+  const TtEdge again[2] = {make_edge(1, 0.9f, 5), make_edge(4, 0.1f, 3)};
   tt.store(key, 0.9f, 1, again, 2, false);
 
   TtView v;
@@ -106,7 +103,6 @@ TEST(TranspositionTable, SecondStoreOfSamePositionMergesVisitMass) {
   ASSERT_EQ(v.edges.size(), 2u);
   EXPECT_FLOAT_EQ(v.edges[0].prior, 0.6f);
   EXPECT_EQ(v.edges[0].visits, 5);
-  EXPECT_DOUBLE_EQ(v.edges[0].value_sum, 2.5);
   EXPECT_EQ(v.edges[1].visits, 3);
   EXPECT_EQ(tt.stats().merges, 1u);
   EXPECT_EQ(tt.stats().entries, 1u);
@@ -132,8 +128,8 @@ TEST(TranspositionTable, OversizedFanoutIsSkippedAndFreesPlaceholder) {
 TEST(TranspositionTable, ReplacementEvictsLowestRetainScoreAfterAging) {
   // capacity == ways ⇒ a single bucket: every key contends for 4 ways.
   TranspositionTable tt(table_config(4, 4));
-  const TtEdge e9[1] = {make_edge(0, 1.0f, 9, 0.0)};
-  const TtEdge e0[1] = {make_edge(0, 1.0f, 0, 0.0)};
+  const TtEdge e9[1] = {make_edge(0, 1.0f, 9)};
+  const TtEdge e0[1] = {make_edge(0, 1.0f, 0)};
   tt.store(101, 0.0f, 2, e9, 1, false);
   tt.store(202, 0.0f, 2, e9, 1, false);
   tt.store(303, 0.0f, 2, e9, 1, false);
@@ -164,7 +160,7 @@ TEST(TranspositionTable, NeverEvictsInflightEntries) {
 
   // Bucket full of announced placeholders: a store of a fifth key finds no
   // admissible victim and is dropped rather than stomping pending work.
-  const TtEdge e[1] = {make_edge(0, 1.0f, 100, 0.0)};
+  const TtEdge e[1] = {make_edge(0, 1.0f, 100)};
   tt.set_generation(10);  // even heavy aging never exposes inflight ways
   tt.store(55, 0.0f, 0, e, 1, false);
   EXPECT_EQ(tt.stats().dropped, 1u);
