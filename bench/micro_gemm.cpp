@@ -1,9 +1,8 @@
 // GEMM kernel micro-bench: the seed scalar kernel vs the packed
 // register-blocked kernel (8x16 with AVX-512, 4x16 otherwise), the int8
 // quantized kernel vs the fp32 packed kernel, the fused bias+ReLU
-// epilogue, batch-1 linear layers on per-call vs pack-once weights,
-// ParallelGemm scaling, and the end-to-end PolicyValueNet batch sweep
-// (fp32 and int8). Writes a JSON
+// epilogue, batch-1 linear layers on per-call vs pack-once weights, and
+// the end-to-end PolicyValueNet batch sweep (fp32 and int8). Writes a JSON
 // baseline (default BENCH_gemm.json, or argv[1]) so kernel regressions are
 // diffable — the ISSUE-1 acceptance numbers (single-thread GFLOP/s uplift
 // at 256^3, batch-64 vs batch-1 per-position latency) and the ISSUE-6
@@ -14,13 +13,11 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "eval/net_evaluator.hpp"
 #include "nn/policy_value_net.hpp"
 #include "nn/quantize.hpp"
-#include "support/thread_pool.hpp"
 #include "support/timer.hpp"
 #include "tensor/ops.hpp"
 
@@ -152,8 +149,8 @@ int main(int argc, char** argv) {
       const double s_fp32 = best_seconds(
           [&] { gemm(w.data(), act.data(), c.data(), n, n, n, false); });
       const double s_q8 = best_seconds([&] {
-        gemm_q8_bias_relu(nullptr, wq.data(), wscale.data(), act.data(),
-                          bias.data(), c.data(), n, n, n, false);
+        gemm_q8_bias_relu(wq.data(), wscale.data(), act.data(), bias.data(),
+                          c.data(), n, n, n, false);
       });
       const double g_fp32 = gflops(n, n, n, s_fp32);
       const double g_q8 = gflops(n, n, n, s_q8);
@@ -216,8 +213,8 @@ int main(int argc, char** argv) {
                            s.out, s.in, false);
       });
       const double s_packed = best_seconds([&] {
-        gemm_abt_packed_bias_relu(nullptr, x.data(), packed, bias.data(),
-                                  y.data(), 1, false);
+        gemm_abt_packed_bias_relu(x.data(), packed, bias.data(), y.data(), 1,
+                                  false);
       });
       std::printf("fc b1 %-10s (1x%dx%d): per-call pack %7.2f us   packed "
                   "%7.2f us   (%.2fx)\n",
@@ -232,55 +229,20 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- ParallelGemm sharding at 512^3 --------------------------------------
-  {
-    const int n = 512;
-    Tensor a = Tensor::randn({n, n}, rng, 1.0f);
-    Tensor b = Tensor::randn({n, n}, rng, 1.0f);
-    Tensor c({n, n});
-    const double s1 = best_seconds(
-        [&] { gemm(a.data(), b.data(), c.data(), n, n, n, false); });
-    json.entry("gemm_parallel_t1_512", gflops(n, n, n, s1), "GFLOP/s");
-    std::printf("parallel gemm 512^3: 1t %7.2f GFLOP/s", gflops(n, n, n, s1));
-    for (const int threads : {2, 4}) {
-      ThreadPool pool(static_cast<std::size_t>(threads));
-      const double st = best_seconds([&] {
-        gemm_parallel(&pool, a.data(), b.data(), c.data(), n, n, n, false);
-      });
-      std::printf("   %dt %7.2f GFLOP/s", threads, gflops(n, n, n, st));
-      json.entry("gemm_parallel_t" + std::to_string(threads) + "_512",
-                 gflops(n, n, n, st), "GFLOP/s");
-    }
-    std::printf("\n");
-  }
-
   // --- end-to-end net batch sweep (paper 15x15 config) ---------------------
-  // Two sweeps: serial GEMMs, and GEMMs sharded over an intra-op pool. At
-  // batch 1 a conv exposes a single 225-column block (no parallelism to
-  // mine); at batch 64 it exposes B·H·W = 14400 columns, so the pooled
-  // sweep is where the per-position batch speedup materialises — on hosts
-  // with more than one core. On a single-core host both sweeps are flat in
-  // the batch size because batch-1 is already compute-bound.
+  // Two sweeps, each on the calling thread: fp32, then int8 (the serving
+  // plane's quantized-lane configuration — one stream thread, the int8
+  // kernels doing the work).
   {
     PolicyValueNet net(NetConfig{}, 7);
     const QuantizedPolicyValueNet qnet(net);
-    const int pool_threads =
-        std::max(2u, std::thread::hardware_concurrency());
-    // fp32 serial us/eval per batch size, for the int8-vs-fp32 ratios.
+    // fp32 us/eval per batch size, for the int8-vs-fp32 ratios.
     std::vector<std::pair<int, double>> fp32_us;
-    // Three sweeps: fp32 serial, fp32 pooled, int8 serial (the serving
-    // plane's quantized-lane configuration — one stream thread, the int8
-    // kernels doing the work).
-    for (const int mode : {0, 1, 2}) {
-      const bool pooled = mode == 1;
-      const bool int8 = mode == 2;
-      NetEvaluator eval_fp32(net, pooled ? pool_threads : 0);
+    for (const bool int8 : {false, true}) {
+      NetEvaluator eval_fp32(net);
       NetEvaluator eval_int8(qnet);
       NetEvaluator& eval = int8 ? eval_int8 : eval_fp32;
-      const std::string tag =
-          int8 ? "net_int8"
-               : (pooled ? "net_pool" + std::to_string(pool_threads)
-                         : "net");
+      const std::string tag = int8 ? "net_int8" : "net";
       const std::size_t isz = eval.input_size();
       double us_b1 = 0.0;
       for (const int batch : {1, 8, 32, 64, 128}) {
@@ -293,7 +255,7 @@ int main(int argc, char** argv) {
             0.6);
         const double us_per = s * 1e6 / batch;
         if (batch == 1) us_b1 = us_per;
-        if (mode == 0) fp32_us.emplace_back(batch, us_per);
+        if (!int8) fp32_us.emplace_back(batch, us_per);
         std::printf("%s batch %3d: %8.1f us/eval  %8.1f evals/s  "
                     "(%.2fx per-position vs b1)\n",
                     tag.c_str(), batch, us_per, 1e6 / us_per,
@@ -310,7 +272,7 @@ int main(int argc, char** argv) {
             if (b == batch && (batch == 8 || batch == 64)) {
               json.entry("net_int8_vs_fp32_b" + std::to_string(batch),
                          fus / us_per, "x");
-              std::printf("net_int8 vs fp32 serial at b%d: %.2fx\n", batch,
+              std::printf("net_int8 vs fp32 at b%d: %.2fx\n", batch,
                           fus / us_per);
             }
           }

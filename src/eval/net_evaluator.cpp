@@ -7,26 +7,10 @@
 
 namespace apm {
 
-NetEvaluator::NetEvaluator(const PolicyValueNet& net, int gemm_threads,
-                           std::size_t conv_col_budget_bytes)
-    : net_(&net), conv_col_budget_bytes_(conv_col_budget_bytes) {
-  APM_CHECK(gemm_threads >= 0);
-  if (gemm_threads > 0) {
-    pool_ = std::make_unique<ThreadPool>(
-        static_cast<std::size_t>(gemm_threads));
-  }
-}
+NetEvaluator::NetEvaluator(const PolicyValueNet& net) : net_(&net) {}
 
-NetEvaluator::NetEvaluator(const QuantizedPolicyValueNet& net,
-                           int gemm_threads,
-                           std::size_t conv_col_budget_bytes)
-    : qnet_(&net), conv_col_budget_bytes_(conv_col_budget_bytes) {
-  APM_CHECK(gemm_threads >= 0);
-  if (gemm_threads > 0) {
-    pool_ = std::make_unique<ThreadPool>(
-        static_cast<std::size_t>(gemm_threads));
-  }
-}
+NetEvaluator::NetEvaluator(const QuantizedPolicyValueNet& net)
+    : qnet_(&net) {}
 
 int NetEvaluator::action_count() const { return net_config().actions(); }
 
@@ -39,10 +23,7 @@ NetEvaluator::Workspace& NetEvaluator::local_workspace() {
   const auto id = std::this_thread::get_id();
   std::lock_guard lock(acts_mutex_);
   auto& slot = slots_[id];
-  if (!slot) {
-    slot = std::make_unique<Workspace>();
-    slot->acts.conv_ws.col_budget_bytes = conv_col_budget_bytes_;
-  }
+  if (!slot) slot = std::make_unique<Workspace>();
   return *slot;
 }
 
@@ -59,9 +40,9 @@ void NetEvaluator::evaluate_batch(const float* inputs, int n,
   ws.x.resize({n, cfg.in_channels, cfg.height, cfg.width});
   std::memcpy(ws.x.data(), inputs, ws.x.numel() * sizeof(float));
   if (qnet_ != nullptr) {
-    qnet_->predict(ws.x, ws.acts, ws.policy, ws.value, pool_.get());
+    qnet_->predict(ws.x, ws.acts, ws.policy, ws.value);
   } else {
-    net_->predict(ws.x, ws.acts, ws.policy, ws.value, pool_.get());
+    net_->predict(ws.x, ws.acts, ws.policy, ws.value);
   }
 
   const int actions = cfg.actions();

@@ -4,13 +4,9 @@
 // Weights are shared read-only; each calling thread gets its own workspace
 // (Activations + input/output tensors, keyed by thread id), so concurrent
 // evaluate() calls from the shared-tree scheme are safe and the hot path is
-// allocation-free once the per-thread workspaces are warm.
-//
-// An optional intra-op thread pool shards each conv GEMM's row-blocks
-// (ParallelGemm), so a single large batch from AsyncBatchEvaluator uses
-// multiple cores even when only one stream thread drives the backend. The
-// pool is dedicated to GEMM work — it is never handed MCTS tasks, so the
-// fork-join inside gemm cannot deadlock against tree-search jobs.
+// allocation-free once the per-thread workspaces are warm. Each forward
+// pass runs entirely on the thread that calls evaluate(); the cores are
+// the tree workers' and stream threads' to use.
 
 #include <memory>
 #include <mutex>
@@ -20,7 +16,6 @@
 #include "eval/evaluator.hpp"
 #include "nn/policy_value_net.hpp"
 #include "nn/quantize.hpp"
-#include "support/thread_pool.hpp"
 
 namespace apm {
 
@@ -31,20 +26,12 @@ class NetEvaluator final : public Evaluator {
   // is in flight — between moves, never during a search; the first
   // evaluate() after the write repacks each changed layer once, and
   // concurrent callers wait for that pack.
-  // gemm_threads > 0 spawns a dedicated intra-op pool of that many workers;
-  // 0 keeps every GEMM on the calling thread. conv_col_budget_bytes bounds
-  // each workspace's conv scratch so large batches are lowered in
-  // cache-resident sub-batches (0 = ConvWorkspace default; pass
-  // conv_col_budget_bytes(hw) when a HardwareSpec is available).
-  explicit NetEvaluator(const PolicyValueNet& net, int gemm_threads = 0,
-                        std::size_t conv_col_budget_bytes = 0);
+  explicit NetEvaluator(const PolicyValueNet& net);
 
   // Int8 flavor: serves a quantized snapshot (nn/quantize.hpp) through the
   // identical evaluate/evaluate_batch contract — callers cannot tell the
   // precisions apart except through precision() and the latency.
-  explicit NetEvaluator(const QuantizedPolicyValueNet& net,
-                        int gemm_threads = 0,
-                        std::size_t conv_col_budget_bytes = 0);
+  explicit NetEvaluator(const QuantizedPolicyValueNet& net);
 
   int action_count() const override;
   std::size_t input_size() const override;
@@ -53,10 +40,6 @@ class NetEvaluator final : public Evaluator {
 
   Precision precision() const {
     return qnet_ != nullptr ? Precision::kInt8 : Precision::kFp32;
-  }
-
-  int gemm_threads() const {
-    return pool_ ? static_cast<int>(pool_->num_threads()) : 0;
   }
 
  private:
@@ -77,8 +60,6 @@ class NetEvaluator final : public Evaluator {
   // Exactly one of the two is set, fixed at construction.
   const PolicyValueNet* net_ = nullptr;
   const QuantizedPolicyValueNet* qnet_ = nullptr;
-  std::unique_ptr<ThreadPool> pool_;
-  std::size_t conv_col_budget_bytes_;
   std::mutex acts_mutex_;
   std::unordered_map<std::thread::id, std::unique_ptr<Workspace>> slots_;
 };

@@ -103,13 +103,12 @@ void conv_forward_chunked(
 }
 
 void Conv2d::forward(const Tensor& x, Tensor& y, ConvWorkspace& ws,
-                     Tensor* col_cache, bool fuse_relu,
-                     ThreadPool* pool) const {
+                     Tensor* col_cache, bool fuse_relu) const {
   const PackedWeights& w = w_pack_.get(w_, WeightRole::kA);
   conv_forward_chunked(
       x, y, ws, in_channels_, out_channels_, ksize_, pad_, col_cache,
       [&](const float* col, int cols, float* out) {
-        gemm_packed_bias_relu(pool, w, col, b_.value().data(), out, cols,
+        gemm_packed_bias_relu(w, col, b_.value().data(), out, cols,
                               fuse_relu);
       });
 }

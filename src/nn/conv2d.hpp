@@ -25,18 +25,13 @@
 
 namespace apm {
 
-class ThreadPool;
-
 // Reusable scratch for conv forward: the batched im2col buffer and the
 // pre-permute GEMM output. One per inference thread, shared by all layers.
 //
 // col_budget_bytes bounds the resident scratch (col chunk + ybuf chunk):
 // very large batches are lowered in cache-resident sub-batches instead of
 // one monolithic col buffer (conv3 at B=128 on the paper net is a ≈66 MB
-// col — far off the cache cliff). 0 selects kDefaultColBudgetBytes;
-// callers with a HardwareSpec should use conv_col_budget_bytes(hw)
-// (perfmodel/hardware.hpp), which derives the budget from the L2 size plus
-// the per-thread LLC share.
+// col — far off the cache cliff). 0 selects kDefaultColBudgetBytes.
 struct ConvWorkspace {
   static constexpr std::size_t kDefaultColBudgetBytes = 4u << 20;
 
@@ -70,10 +65,8 @@ class Conv2d {
   // x: [B, Cin, H, W] -> y: [B, Cout, H, W] (ReLU'd when fuse_relu).
   // ws: caller-owned scratch. When col_cache != nullptr it receives the
   // per-image columns (needed by backward), laid out as [B, Cin*k*k, H*W].
-  // `pool` shards the GEMM row-blocks (nullptr = serial).
   void forward(const Tensor& x, Tensor& y, ConvWorkspace& ws,
-               Tensor* col_cache = nullptr, bool fuse_relu = false,
-               ThreadPool* pool = nullptr) const;
+               Tensor* col_cache = nullptr, bool fuse_relu = false) const;
 
   // dy: [B, Cout, H, W]; col_cache from forward; dx: [B, Cin, H, W]
   // (overwritten). Accumulates weight/bias gradients.

@@ -23,8 +23,7 @@ void Linear::forward(const Tensor& x, Tensor& y, bool fuse_relu) const {
   const int batch = x.dim(0);
   y.resize({batch, out_});
   // y[B, Out] = x[B, In] * W[Out, In]^T + b, fused epilogue.
-  gemm_abt_packed_bias_relu(nullptr, x.data(),
-                            w_pack_.get(w_, WeightRole::kBt),
+  gemm_abt_packed_bias_relu(x.data(), w_pack_.get(w_, WeightRole::kBt),
                             b_.value().data(), y.data(), batch, fuse_relu);
 }
 

@@ -41,8 +41,8 @@ PolicyValueNet::PolicyValueNet(const NetConfig& cfg, std::uint64_t seed)
   fc_v2_.init(rng);
 }
 
-void PolicyValueNet::forward(const Tensor& x, Activations& a, bool train,
-                             ThreadPool* pool) const {
+void PolicyValueNet::forward(const Tensor& x, Activations& a,
+                             bool train) const {
   APM_CHECK(x.rank() == 4 && x.dim(1) == cfg_.in_channels &&
             x.dim(2) == cfg_.height && x.dim(3) == cfg_.width);
   const int batch = x.dim(0);
@@ -51,17 +51,17 @@ void PolicyValueNet::forward(const Tensor& x, Activations& a, bool train,
     // Inference: ReLU fused into each conv/linear GEMM epilogue, so each
     // layer makes one pass over its output and the pre-activation tensors
     // are never materialised.
-    conv1_.forward(x, a.t1r, a.conv_ws, nullptr, /*fuse_relu=*/true, pool);
-    conv2_.forward(a.t1r, a.t2r, a.conv_ws, nullptr, true, pool);
-    conv3_.forward(a.t2r, a.t3r, a.conv_ws, nullptr, true, pool);
+    conv1_.forward(x, a.t1r, a.conv_ws, nullptr, /*fuse_relu=*/true);
+    conv2_.forward(a.t1r, a.t2r, a.conv_ws, nullptr, true);
+    conv3_.forward(a.t2r, a.t3r, a.conv_ws, nullptr, true);
 
-    conv_p_.forward(a.t3r, a.p0r, a.conv_ws, nullptr, true, pool);
+    conv_p_.forward(a.t3r, a.p0r, a.conv_ws, nullptr, true);
     flatten_view(a.p0r);
     fc_p_.forward(a.p0r, a.p_logits);
     // p_logp is left untouched: predict() softmaxes the logits directly,
     // and only the training loss consumes log-probabilities.
 
-    conv_v_.forward(a.t3r, a.v0r, a.conv_ws, nullptr, true, pool);
+    conv_v_.forward(a.t3r, a.v0r, a.conv_ws, nullptr, true);
     flatten_view(a.v0r);
     fc_v1_.forward(a.v0r, a.v1r, /*fuse_relu=*/true);
     fc_v2_.forward(a.v1r, a.v2);
@@ -71,20 +71,20 @@ void PolicyValueNet::forward(const Tensor& x, Activations& a, bool train,
   }
 
   // Training: keep pre-activations and col caches for backward.
-  conv1_.forward(x, a.t1, a.conv_ws, &a.col1, false, pool);
+  conv1_.forward(x, a.t1, a.conv_ws, &a.col1, false);
   a.t1r.resize(a.t1.shape());
   relu_forward(a.t1.data(), a.t1r.data(), a.t1.numel());
 
-  conv2_.forward(a.t1r, a.t2, a.conv_ws, &a.col2, false, pool);
+  conv2_.forward(a.t1r, a.t2, a.conv_ws, &a.col2, false);
   a.t2r.resize(a.t2.shape());
   relu_forward(a.t2.data(), a.t2r.data(), a.t2.numel());
 
-  conv3_.forward(a.t2r, a.t3, a.conv_ws, &a.col3, false, pool);
+  conv3_.forward(a.t2r, a.t3, a.conv_ws, &a.col3, false);
   a.t3r.resize(a.t3.shape());
   relu_forward(a.t3.data(), a.t3r.data(), a.t3.numel());
 
   // Policy head.
-  conv_p_.forward(a.t3r, a.p0, a.conv_ws, &a.colp, false, pool);
+  conv_p_.forward(a.t3r, a.p0, a.conv_ws, &a.colp, false);
   a.p0r.resize(a.p0.shape());
   relu_forward(a.p0.data(), a.p0r.data(), a.p0.numel());
   flatten_view(a.p0r);
@@ -93,7 +93,7 @@ void PolicyValueNet::forward(const Tensor& x, Activations& a, bool train,
   log_softmax_rows(a.p_logits.data(), a.p_logp.data(), batch, cfg_.actions());
 
   // Value head.
-  conv_v_.forward(a.t3r, a.v0, a.conv_ws, &a.colv, false, pool);
+  conv_v_.forward(a.t3r, a.v0, a.conv_ws, &a.colv, false);
   a.v0r.resize(a.v0.shape());
   relu_forward(a.v0.data(), a.v0r.data(), a.v0.numel());
   flatten_view(a.v0r);
@@ -106,9 +106,8 @@ void PolicyValueNet::forward(const Tensor& x, Activations& a, bool train,
 }
 
 void PolicyValueNet::predict(const Tensor& x, Activations& acts,
-                             Tensor& policy, Tensor& value,
-                             ThreadPool* pool) const {
-  forward(x, acts, /*train=*/false, pool);
+                             Tensor& policy, Tensor& value) const {
+  forward(x, acts, /*train=*/false);
   const int batch = x.dim(0);
   policy.resize({batch, cfg_.actions()});
   softmax_rows(acts.p_logits.data(), policy.data(), batch, cfg_.actions());

@@ -102,15 +102,13 @@ class PolicyValueNet {
   // [B] in (−1, 1). When train == true the col caches needed by backward()
   // are retained and acts.p_logp additionally holds the [B, A]
   // log-probabilities (inference skips that reduction; predict() softmaxes
-  // the logits directly). `pool` shards the conv GEMMs across a thread
-  // pool dedicated to intra-op parallelism (nullptr = serial).
-  void forward(const Tensor& x, Activations& acts, bool train = false,
-               ThreadPool* pool = nullptr) const;
+  // the logits directly).
+  void forward(const Tensor& x, Activations& acts, bool train = false) const;
 
   // Convenience inference API: fills policy (softmax probabilities, [B, A])
   // and values ([B]).
   void predict(const Tensor& x, Activations& acts, Tensor& policy,
-               Tensor& value, ThreadPool* pool = nullptr) const;
+               Tensor& value) const;
 
   // One SGD-ready step: forward(train), compute Eq. 2 loss against
   // (target_pi [B, A], target_z [B]), backprop into parameter gradients.

@@ -60,11 +60,11 @@ QuantizedConv2d::QuantizedConv2d(int in_channels, int out_channels, int ksize,
 }
 
 void QuantizedConv2d::forward(const Tensor& x, Tensor& y, ConvWorkspace& ws,
-                              bool fuse_relu, ThreadPool* pool) const {
+                              bool fuse_relu) const {
   conv_forward_chunked(
       x, y, ws, in_channels_, out_channels_, ksize_, pad_,
       /*col_cache=*/nullptr, [&](const float* col, int cols, float* out) {
-        gemm_q8_packed_bias_relu(pool, packed_, col, bias_.data(), out, cols,
+        gemm_q8_packed_bias_relu(packed_, col, bias_.data(), out, cols,
                                  fuse_relu);
       });
 }
@@ -98,13 +98,13 @@ QuantizedLinear::QuantizedLinear(int in_features, int out_features,
                   WeightRole::kBt, packed_);
 }
 
-void QuantizedLinear::forward(const Tensor& x, Tensor& y, bool fuse_relu,
-                              ThreadPool* pool) const {
+void QuantizedLinear::forward(const Tensor& x, Tensor& y,
+                              bool fuse_relu) const {
   APM_CHECK(x.rank() == 2 && x.dim(1) == in_);
   const int batch = x.dim(0);
   y.resize({batch, out_});
-  gemm_q8_abt_packed_bias_relu(pool, x.data(), packed_, bias_.data(),
-                               y.data(), batch, fuse_relu);
+  gemm_q8_abt_packed_bias_relu(x.data(), packed_, bias_.data(), y.data(),
+                               batch, fuse_relu);
 }
 
 QuantizedPolicyValueNet::QuantizedPolicyValueNet(const PolicyValueNet& net,
@@ -143,38 +143,37 @@ QuantizedPolicyValueNet::QuantizedPolicyValueNet(const NetConfig& cfg,
       conv3_(std::move(c3)) {}
 
 void QuantizedPolicyValueNet::predict(const Tensor& x, Activations& a,
-                                      Tensor& policy, Tensor& value,
-                                      ThreadPool* pool) const {
+                                      Tensor& policy, Tensor& value) const {
   APM_CHECK(x.rank() == 4 && x.dim(1) == cfg_.in_channels &&
             x.dim(2) == cfg_.height && x.dim(3) == cfg_.width);
   const int batch = x.dim(0);
 
   // Same fused-ReLU inference sequence as PolicyValueNet::forward
   // (train=false); each layer dispatches to its own precision.
-  conv1_.forward(x, a.t1r, a.conv_ws, /*fuse_relu=*/true, pool);
-  conv2_.forward(a.t1r, a.t2r, a.conv_ws, true, pool);
-  conv3_.forward(a.t2r, a.t3r, a.conv_ws, true, pool);
+  conv1_.forward(x, a.t1r, a.conv_ws, /*fuse_relu=*/true);
+  conv2_.forward(a.t1r, a.t2r, a.conv_ws, true);
+  conv3_.forward(a.t2r, a.t3r, a.conv_ws, true);
 
   if (qconv_p_) {
-    qconv_p_->forward(a.t3r, a.p0r, a.conv_ws, true, pool);
+    qconv_p_->forward(a.t3r, a.p0r, a.conv_ws, true);
   } else {
-    fconv_p_->forward(a.t3r, a.p0r, a.conv_ws, nullptr, true, pool);
+    fconv_p_->forward(a.t3r, a.p0r, a.conv_ws, nullptr, true);
   }
   flatten_view(a.p0r);
   if (qfc_p_) {
-    qfc_p_->forward(a.p0r, a.p_logits, false, pool);
+    qfc_p_->forward(a.p0r, a.p_logits, false);
   } else {
     ffc_p_->forward(a.p0r, a.p_logits);
   }
 
   if (qconv_v_) {
-    qconv_v_->forward(a.t3r, a.v0r, a.conv_ws, true, pool);
+    qconv_v_->forward(a.t3r, a.v0r, a.conv_ws, true);
   } else {
-    fconv_v_->forward(a.t3r, a.v0r, a.conv_ws, nullptr, true, pool);
+    fconv_v_->forward(a.t3r, a.v0r, a.conv_ws, nullptr, true);
   }
   flatten_view(a.v0r);
   if (qfc_v1_) {
-    qfc_v1_->forward(a.v0r, a.v1r, /*fuse_relu=*/true, pool);
+    qfc_v1_->forward(a.v0r, a.v1r, /*fuse_relu=*/true);
   } else {
     ffc_v1_->forward(a.v0r, a.v1r, /*fuse_relu=*/true);
   }

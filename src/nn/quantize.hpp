@@ -36,8 +36,6 @@
 
 namespace apm {
 
-class ThreadPool;
-
 // Which sub-nets run int8. Trunk convs are always int8 (that is the point
 // of the conversion); heads default to fp32.
 struct QuantizeSpec {
@@ -61,7 +59,7 @@ class QuantizedConv2d {
 
   // x: [B, Cin, H, W] -> y: [B, Cout, H, W] (ReLU'd when fuse_relu).
   void forward(const Tensor& x, Tensor& y, ConvWorkspace& ws,
-               bool fuse_relu = false, ThreadPool* pool = nullptr) const;
+               bool fuse_relu = false) const;
 
   int in_channels() const { return in_channels_; }
   int out_channels() const { return out_channels_; }
@@ -90,8 +88,7 @@ class QuantizedLinear {
                   std::vector<std::int8_t> wq, std::vector<float> wscale,
                   std::vector<float> bias);
 
-  void forward(const Tensor& x, Tensor& y, bool fuse_relu = false,
-               ThreadPool* pool = nullptr) const;
+  void forward(const Tensor& x, Tensor& y, bool fuse_relu = false) const;
 
   int in_features() const { return in_; }
   int out_features() const { return out_; }
@@ -123,7 +120,7 @@ class QuantizedPolicyValueNet {
   // ([B]) — the predict() contract of PolicyValueNet, same Activations
   // workspace type, same fused-ReLU layer sequence.
   void predict(const Tensor& x, Activations& acts, Tensor& policy,
-               Tensor& value, ThreadPool* pool = nullptr) const;
+               Tensor& value) const;
 
   // Quantized trunk layers (always present) and head layers (exactly one of
   // the q*/f* pair is engaged per head, per spec). Exposed for tests and

@@ -52,6 +52,18 @@ NetConfig read_config(std::istream& in, std::uint32_t version) {
   return cfg;
 }
 
+// Reads and checks the magic and version; returns the version.
+std::uint32_t read_header(std::istream& in) {
+  char magic[4];
+  in.read(magic, sizeof magic);
+  APM_CHECK_MSG(in.good() && std::memcmp(magic, kMagic, 4) == 0,
+                "bad checkpoint magic");
+  const auto version = read_pod<std::uint32_t>(in);
+  APM_CHECK_MSG(version >= 1 && version <= kVersion,
+                "unsupported checkpoint version");
+  return version;
+}
+
 }  // namespace
 
 void save_net(PolicyValueNet& net, std::ostream& out) {
@@ -75,14 +87,7 @@ void save_net_file(PolicyValueNet& net, const std::string& path) {
 }
 
 void load_net(PolicyValueNet& net, std::istream& in) {
-  char magic[4];
-  in.read(magic, sizeof magic);
-  APM_CHECK_MSG(in.good() && std::memcmp(magic, kMagic, 4) == 0,
-                "bad checkpoint magic");
-  const auto version = read_pod<std::uint32_t>(in);
-  APM_CHECK_MSG(version >= 1 && version <= kVersion,
-                "unsupported checkpoint version");
-  const NetConfig cfg = read_config(in, version);
+  const NetConfig cfg = read_config(in, read_header(in));
   APM_CHECK_MSG(cfg == net.config(), "checkpoint config mismatch");
   const auto count = read_pod<std::uint32_t>(in);
   const auto params = net.params();
@@ -103,12 +108,7 @@ void load_net_file(PolicyValueNet& net, const std::string& path) {
 }
 
 NetConfig peek_net_config(std::istream& in) {
-  char magic[4];
-  in.read(magic, sizeof magic);
-  APM_CHECK_MSG(in.good() && std::memcmp(magic, kMagic, 4) == 0,
-                "bad checkpoint magic");
-  const auto version = read_pod<std::uint32_t>(in);
-  return read_config(in, version);
+  return read_config(in, read_header(in));
 }
 
 }  // namespace apm

@@ -20,28 +20,11 @@ struct HardwareSpec {
   // instead when the tree fits in LLC (§3.1.2).
   double llc_access_us = 0.018;
   std::size_t llc_bytes = 256ull << 20;
-  // Per-core private L2 (Threadripper 3990X: 512 KB/core). Together with
-  // the per-thread LLC share this bounds the cache-resident conv sub-batch
-  // (see conv_col_budget_bytes below).
-  std::size_t l2_bytes = 512ull << 10;
   // Threads reserved for CPU-side DNN training in the CPU-only platform
   // ("we are able to allocate 32 threads for conducting training", §5.4).
   int train_threads = 32;
   GpuTimingModel gpu;
 };
-
-// Cache budget for one inference thread's conv scratch (im2col chunk +
-// pre-permute output): private L2 plus an even LLC share. Feed this into
-// ConvWorkspace::col_budget_bytes so very large batches are lowered in
-// cache-resident sub-batches instead of one monolithic col buffer.
-inline std::size_t conv_col_budget_bytes(const HardwareSpec& hw) {
-  const std::size_t llc_share =
-      hw.llc_bytes / static_cast<std::size_t>(hw.cpu_threads > 0
-                                                  ? hw.cpu_threads
-                                                  : 1);
-  const std::size_t budget = hw.l2_bytes + llc_share;
-  return budget > (1u << 20) ? budget : (1u << 20);
-}
 
 // Per-benchmark algorithm hyper-parameters (the paper's "tree fanout, tree
 // depth" model inputs).

@@ -1,7 +1,5 @@
 #include "support/thread_pool.hpp"
 
-#include <algorithm>
-
 #include "support/check.hpp"
 
 namespace apm {
@@ -38,38 +36,6 @@ void ThreadPool::wait_idle() {
   std::unique_lock lock(idle_mutex_);
   idle_cv_.wait(lock,
                 [&] { return pending_.load(std::memory_order_acquire) == 0; });
-}
-
-void parallel_for(ThreadPool* pool, int begin, int end, int grain,
-                  const std::function<void(int, int)>& fn) {
-  APM_CHECK(grain >= 1);
-  if (end <= begin) return;
-  if (pool == nullptr || end - begin <= grain) {
-    fn(begin, end);
-    return;
-  }
-  const int chunks = (end - begin + grain - 1) / grain;
-  // The latch lives on this stack frame, so the decrement must happen under
-  // the mutex: were it outside, the caller could observe remaining == 0 and
-  // destroy mutex/done_cv while the last worker is still about to lock them
-  // (the same destruction race SyncQueue's notify-under-lock guards
-  // against). With the decrement inside, a caller that sees 0 holds the
-  // mutex strictly after the last worker released it for good.
-  int remaining = chunks - 1;
-  std::mutex mutex;
-  std::condition_variable done_cv;
-  for (int c = 1; c < chunks; ++c) {
-    const int lo = begin + c * grain;
-    const int hi = std::min(lo + grain, end);
-    pool->submit([&fn, lo, hi, &remaining, &mutex, &done_cv] {
-      fn(lo, hi);
-      std::lock_guard lock(mutex);
-      if (--remaining == 0) done_cv.notify_all();
-    });
-  }
-  fn(begin, std::min(begin + grain, end));
-  std::unique_lock lock(mutex);
-  done_cv.wait(lock, [&] { return remaining == 0; });
 }
 
 void ThreadPool::worker_loop() {

@@ -65,15 +65,4 @@ class ThreadPool {
   std::condition_variable idle_cv_;
 };
 
-// Runs fn(begin, end) over [begin, end) split into chunks of at most `grain`
-// indices, sharding the chunks across `pool`. The calling thread executes the
-// first chunk itself and then blocks until every chunk has finished, so the
-// call has fork-join semantics with a per-call latch — it does NOT use
-// wait_idle() and therefore composes with unrelated tasks on the same pool.
-// A null pool (or a range that fits one chunk) degenerates to an inline call,
-// which keeps serial and sharded executions on the identical code path —
-// the property the GEMM determinism guarantee relies on.
-void parallel_for(ThreadPool* pool, int begin, int end, int grain,
-                  const std::function<void(int, int)>& fn);
-
 }  // namespace apm

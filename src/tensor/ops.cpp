@@ -1,11 +1,8 @@
 #include "tensor/ops.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
-#include <limits>
-#include <thread>
 #include <vector>
 
 #if defined(__AVX512VNNI__) && defined(__AVX512F__)
@@ -13,7 +10,7 @@
 #define APM_Q8_VNNI 1
 #endif
 
-#include "support/thread_pool.hpp"
+#include "support/check.hpp"
 
 namespace apm {
 namespace {
@@ -31,7 +28,7 @@ constexpr int kMR = 4;
 #endif
 constexpr int kNR = 16;
 constexpr int kQ8MR = 4;   // int8 tile rows: one vpdpbusd broadcast per row
-constexpr int kMC = 64;    // rows of C per packed-A block == parallel grain
+constexpr int kMC = 64;    // rows of C per packed-A block
 constexpr int kKC = 256;   // K depth per packing pass
 constexpr int kNC = 1024;  // columns of C per packed-B block
 
@@ -43,43 +40,6 @@ auto* pack_buffer(Vec& buf, std::size_t n) {
 }
 thread_local PanelVector<float> tl_apack;
 thread_local PanelVector<float> tl_bpack;
-
-// --- ParallelGemm regression guard ------------------------------------------
-// A pool bigger than the machine only adds contention (BENCH_gemm's
-// t2/t4-slower-than-t1 rows on a 1-core host), and a shard without a
-// meaningful FLOP budget pays more in fork-join latency than it saves in
-// compute. plan_gemm_workers() therefore caps the fan-out at
-// hardware_concurrency() and shrinks it until every shard clears a FLOP
-// floor; 1 means "run serial". Tests/benches override the cap so the
-// sharded code paths stay exercisable on a 1-core CI host.
-constexpr double kMinFlopsPerShard = 4.0e6;  // ~a 128^3 GEMM per shard
-
-std::atomic<int> g_worker_cap_override{0};
-
-int gemm_worker_cap() {
-  const int o = g_worker_cap_override.load(std::memory_order_relaxed);
-  if (o > 0) return o;
-  const unsigned hc = std::thread::hardware_concurrency();
-  // 0 = unknown: don't second-guess the caller's pool size.
-  return hc == 0 ? std::numeric_limits<int>::max() : static_cast<int>(hc);
-}
-
-// Effective worker count for sharding (the caller's thread included);
-// 1 = the pool would not help, take the serial path.
-int plan_gemm_workers(const ThreadPool* pool, int m, int n, int k) {
-  if (pool == nullptr) return 1;
-  int w = std::min(static_cast<int>(pool->num_threads()) + 1,
-                   gemm_worker_cap());
-  if (w <= 1) return 1;
-  // The driver aims for ~2 shards per worker; keep each of those above the
-  // floor.
-  const double flops = 2.0 * m * n * static_cast<double>(k);
-  const double max_workers = flops / (2.0 * kMinFlopsPerShard);
-  if (max_workers < static_cast<double>(w)) {
-    w = std::max(1, static_cast<int>(max_workers));
-  }
-  return w;
-}
 
 // Packs an mc x kc block of A into kMR-row panels: panel ip holds rows
 // [ip*MR, ip*MR+MR) transposed to ap[p*MR + r]. A trailing panel of
@@ -117,6 +77,16 @@ void pack_b(const float* b, int ldb, int kc, int nc, float* dst) {
     const int cols = std::min(kNR, nc - jp * kNR);
     const float* src = b + static_cast<std::size_t>(jp) * kNR;
     float* d = dst + static_cast<std::size_t>(jp) * kc * kNR;
+    if (cols == kNR) {
+      // A whole panel row is one fixed-size copy. With only the
+      // variable-width loop below, the 1x1 head convs ran ~35% slower once
+      // pack_b was compiled out of line.
+      for (int p = 0; p < kc; ++p) {
+        std::memcpy(d + p * kNR, src + static_cast<std::size_t>(p) * ldb,
+                    sizeof(float) * kNR);
+      }
+      continue;
+    }
     for (int p = 0; p < kc; ++p) {
       const float* srow = src + static_cast<std::size_t>(p) * ldb;
       for (int j = 0; j < cols; ++j) d[p * kNR + j] = srow[j];
@@ -294,23 +264,61 @@ struct Operand {
   const float* panels = nullptr;
 };
 
-// GEMM over the column range [jc_begin, jc_end) of C: packs the per-call
-// operands into the calling thread's buffers and runs the kc / m-block /
-// micro-kernel loops. The arithmetic performed for each C element is
-// independent of how the caller splits the column range or shards the
-// m-block loop, which is what makes the parallel paths bitwise
-// deterministic.
-void gemm_region(ThreadPool* pool, const Operand& a, const Operand& b,
-                 const float* row_bias, const float* col_bias, float* c, int m,
-                 int n, int k, bool accumulate, bool relu, int jc_begin,
-                 int jc_end) {
-  const int m_blocks = (m + kMC - 1) / kMC;
-  // Rows (A) / columns (B) of one K block of a pre-packed operand; B is
-  // padded to whole panels, A (tail panel packed as wide as its rows) not.
-  const auto a_rows = static_cast<std::size_t>(m);
+// Every m-block of C for one (column block, K block): packs A per block
+// unless it is pre-packed, then runs the micro-tiles against bpack. Kept
+// out of line: inlined into gemm_driver, the batch-1 linear layers (one
+// packed A row) ran ~25% slower.
+[[gnu::noinline]] void row_blocks(const Operand& a, const float* bpack, int m,
+                                  int k, int kc0, int kc, int nc, int jc,
+                                  const TileStore& store) {
+  for (int i0 = 0; i0 < m; i0 += kMC) {
+    const int mc = std::min(kMC, m - i0);
+    const float* apack;
+    if (a.panels != nullptr) {
+      // A pre-packed K block holds all m rows (the tail panel as wide as
+      // its rows, no padding).
+      apack = a.panels + static_cast<std::size_t>(kc0) * m +
+              static_cast<std::size_t>(i0) * kc;
+    } else {
+      float* buf = pack_buffer(tl_apack, static_cast<std::size_t>(mc) * kc);
+      if (a.trans) {
+        pack_a_t(a.data + static_cast<std::size_t>(kc0) * m + i0, m, mc, kc,
+                 buf);
+      } else {
+        pack_a(a.data + static_cast<std::size_t>(i0) * k + kc0, k, mc, kc,
+               buf);
+      }
+      apack = buf;
+    }
+    compute_block(apack, bpack, kc, mc, nc, i0, jc, store);
+  }
+}
+
+// Shared GEMM driver: packs the per-call operands into the calling
+// thread's buffers and runs the kNC / kKC / m-block / micro-kernel loops.
+// Bias epilogues require accumulate == false.
+void gemm_driver(const Operand& a, const Operand& b, const float* row_bias,
+                 const float* col_bias, float* c, int m, int n, int k,
+                 bool accumulate, bool relu) {
+  APM_DCHECK(m >= 0 && n >= 0 && k >= 0);
+  APM_DCHECK(!(accumulate && (row_bias || col_bias || relu)));
+  if (m == 0 || n == 0) return;
+  if (k == 0) {
+    // Degenerate reduction: C is the epilogue of an empty sum.
+    for (int i = 0; i < m; ++i) {
+      float* crow = c + static_cast<std::size_t>(i) * n;
+      if (!accumulate) std::memset(crow, 0, static_cast<std::size_t>(n) * 4);
+      if (row_bias) for (int j = 0; j < n; ++j) crow[j] += row_bias[i];
+      if (col_bias) for (int j = 0; j < n; ++j) crow[j] += col_bias[j];
+      if (relu) for (int j = 0; j < n; ++j) crow[j] = std::max(crow[j], 0.0f);
+    }
+    return;
+  }
+
+  // Columns of one K block of pre-packed B, padded to whole panels.
   const auto b_cols = static_cast<std::size_t>((n + kNR - 1) / kNR * kNR);
-  for (int jc = jc_begin; jc < jc_end; jc += kNC) {
-    const int nc = std::min(kNC, jc_end - jc);
+  for (int jc = 0; jc < n; jc += kNC) {
+    const int nc = std::min(kNC, n - jc);
     const int n_panels = (nc + kNR - 1) / kNR;
     for (int kc0 = 0; kc0 < k; kc0 += kKC) {
       const int kc = std::min(kKC, k - kc0);
@@ -331,86 +339,9 @@ void gemm_region(ThreadPool* pool, const Operand& a, const Operand& b,
       }
       const TileStore store{c,        n,        kc0 == 0, kc0 + kc == k,
                             accumulate, row_bias, col_bias, relu};
-      parallel_for(pool, 0, m_blocks, 1, [&, bpack](int ib0, int ib1) {
-        for (int ib = ib0; ib < ib1; ++ib) {
-          const int i0 = ib * kMC;
-          const int mc = std::min(kMC, m - i0);
-          const float* apack;
-          if (a.panels != nullptr) {
-            apack = a.panels + kc0 * a_rows + static_cast<std::size_t>(i0) * kc;
-          } else {
-            float* buf = pack_buffer(tl_apack,
-                                     static_cast<std::size_t>(mc) * kc);
-            if (a.trans) {
-              pack_a_t(a.data + static_cast<std::size_t>(kc0) * m + i0, m,
-                       mc, kc, buf);
-            } else {
-              pack_a(a.data + static_cast<std::size_t>(i0) * k + kc0, k, mc,
-                     kc, buf);
-            }
-            apack = buf;
-          }
-          compute_block(apack, bpack, kc, mc, nc, i0, jc, store);
-        }
-      });
+      row_blocks(a, bpack, m, k, kc0, kc, nc, jc, store);
     }
   }
-}
-
-// Shared GEMM driver. Parallel sharding picks the wider dimension: when C
-// has several kNC column blocks (the whole-batch conv shape, N = B·H·W),
-// workers take disjoint column ranges — parallelism then grows with the
-// batch size, which is what makes large evaluator batches scale across
-// cores. Otherwise row-blocks are sharded inside the single column region.
-// Either way every C element is produced by exactly one thread with the
-// identical blocking and accumulation order as the serial path, so threaded
-// and serial results are bitwise equal. Bias epilogues require
-// accumulate == false.
-void gemm_driver(ThreadPool* pool, const Operand& a, const Operand& b,
-                 const float* row_bias, const float* col_bias, float* c, int m,
-                 int n, int k, bool accumulate, bool relu) {
-  APM_DCHECK(m >= 0 && n >= 0 && k >= 0);
-  APM_DCHECK(!(accumulate && (row_bias || col_bias || relu)));
-  if (m == 0 || n == 0) return;
-  if (k == 0) {
-    // Degenerate reduction: C is the epilogue of an empty sum.
-    for (int i = 0; i < m; ++i) {
-      float* crow = c + static_cast<std::size_t>(i) * n;
-      if (!accumulate) std::memset(crow, 0, static_cast<std::size_t>(n) * 4);
-      if (row_bias) for (int j = 0; j < n; ++j) crow[j] += row_bias[i];
-      if (col_bias) for (int j = 0; j < n; ++j) crow[j] += col_bias[j];
-      if (relu) for (int j = 0; j < n; ++j) crow[j] = std::max(crow[j], 0.0f);
-    }
-    return;
-  }
-
-  const int workers = plan_gemm_workers(pool, m, n, k);
-  if (workers > 1) {
-    // A C element's accumulation order depends only on the kc blocking, so
-    // any column split is bitwise-safe; quantize chunks to the panel width
-    // and aim for ~2 chunks per worker (the parallel_for caller executes
-    // chunks too) so parallelism tracks N = B·H·W rather than N/kNC.
-    int chunk = n / (2 * workers) / kNR * kNR;
-    chunk = std::max(chunk, kNR);
-    const int col_chunks = (n + chunk - 1) / chunk;
-    const int m_blocks = (m + kMC - 1) / kMC;
-    if (col_chunks >= 2 && col_chunks >= m_blocks) {
-      parallel_for(pool, 0, col_chunks, 1, [&](int cb0, int cb1) {
-        for (int cb = cb0; cb < cb1; ++cb) {
-          gemm_region(nullptr, a, b, row_bias, col_bias, c, m, n, k,
-                      accumulate, relu, cb * chunk,
-                      std::min((cb + 1) * chunk, n));
-        }
-      });
-      return;
-    }
-    // Tall-and-narrow C: shard the row blocks inside one column region.
-    gemm_region(pool, a, b, row_bias, col_bias, c, m, n, k, accumulate, relu,
-                0, n);
-    return;
-  }
-  gemm_region(nullptr, a, b, row_bias, col_bias, c, m, n, k, accumulate,
-              relu, 0, n);
 }
 
 // --- int8 quantized GEMM ----------------------------------------------------
@@ -433,10 +364,9 @@ void gemm_driver(ThreadPool* pool, const Operand& a, const Operand& b,
 // Zero padding is exact on the weight side (wq = 0 annihilates whatever the
 // padded activation byte holds), so the kernels never branch on remainders.
 // Accumulators span one K-block: |sum| <= kKC * 255 * 127 ~= 8.3e6, far
-// from int32 overflow. C accumulates across K-blocks in float with the
-// fixed serial block order, so — with exact integer tiles and a
-// sharding-independent per-element dequant — results are bitwise identical
-// for every pool size and for the SIMD vs scalar kernels.
+// from int32 overflow. C accumulates across K-blocks in float in a fixed
+// block order, so — with exact integer tiles and a fixed per-element
+// dequant — results are bitwise identical for the SIMD vs scalar kernels.
 
 thread_local std::vector<std::uint8_t> tl_q8_apack;
 thread_local std::vector<std::uint8_t> tl_q8_bpack;
@@ -714,26 +644,106 @@ void store_tile_q8(float* c, int ldc, const std::int32_t* acc, int i0,
   }
 }
 
-// Int8 GEMM over the column range [jc_begin, jc_end): the q8 counterpart of
-// gemm_region. The weights' role selects the conv shape (A = packed Wq[M,K],
-// B = fp32 activations quantized on pack) vs the linear-abt shape (A = fp32
-// activation rows, B = packed Wq[N,K]).
-void gemm_q8_region(ThreadPool* pool, const PackedWeightsQ8& w,
-                    const float* act, const float* bias, float* c, int m,
-                    int n, int k, bool relu, int jc_begin, int jc_end) {
+// Every m-block of C for one (column block, K block) of the int8 GEMM:
+// quantizes and packs the activation rows per block in the linear shape,
+// then runs the tiles against the B-side panels bpack with per-lane
+// dequant terms cs/cc. Kept out of line: inlined into gemm_q8_driver, the
+// int8 convs ran up to 20% slower.
+[[gnu::noinline]] void q8_row_blocks(const PackedWeightsQ8& w,
+                                     const float* act, const float* bias,
+                                     float* c, int m, int n, int k, int kc0,
+                                     int nc, int jc,
+                                     const std::uint8_t* bpack,
+                                     const float* cs, const float* cc,
+                                     bool relu) {
   const bool weights_a = w.role == WeightRole::kA;
   const float* row_bias = weights_a ? bias : nullptr;
   const float* col_bias = weights_a ? nullptr : bias;
+  const int kc = std::min(kKC, k - kc0);
+  const int kq = (kc + 3) / 4;
+  const bool first = kc0 == 0;
+  const bool last = kc0 + kc == k;
+  const int n_panels = (nc + kNR - 1) / kNR;
   const std::size_t w_rows = w.scale.size();  // whole panels
-  const int m_blocks = (m + kMC - 1) / kMC;
-  for (int jc = jc_begin; jc < jc_end; jc += kNC) {
-    const int nc = std::min(kNC, jc_end - jc);
+  const std::uint8_t* wblock = w.panels.data() + kc0 * w_rows;
+  const float* wcorr = w.corr.data() + kc0 / kKC * w_rows;
+  for (int i0 = 0; i0 < m; i0 += kMC) {
+    const int mc = std::min(kMC, m - i0);
+    const int m_panels = (mc + kQ8MR - 1) / kQ8MR;
+    const std::uint8_t* apack;
+    const float* rs;
+    const float* rc;
+    if (weights_a) {
+      apack = wblock + static_cast<std::size_t>(i0) * kq * 4;
+      rs = w.scale.data() + i0;
+      rc = wcorr + i0;
+    } else {
+      std::uint8_t* buf = pack_buffer(
+          tl_q8_apack,
+          static_cast<std::size_t>(m_panels) * kq * kQ8MR * 4);
+      float* scale = pack_buffer(
+          tl_q8_a_scale, static_cast<std::size_t>(m_panels) * kQ8MR);
+      float* off = pack_buffer(
+          tl_q8_a_corr, static_cast<std::size_t>(m_panels) * kQ8MR);
+      pack_act_rows_q8(act + static_cast<std::size_t>(i0) * k + kc0, k,
+                       mc, kc, kq, buf, scale, off);
+      apack = buf;
+      rs = scale;
+      rc = off;
+    }
+    std::int32_t acc[kQ8MR * kNR];
+    for (int jp = 0; jp < n_panels; ++jp) {
+      const std::uint8_t* bp =
+          bpack + static_cast<std::size_t>(jp) * kq * kNR * 4;
+      const int nr = std::min(kNR, nc - jp * kNR);
+      for (int ip = 0; ip < m_panels; ++ip) {
+        const std::uint8_t* ap =
+            apack + static_cast<std::size_t>(ip) * kq * kQ8MR * 4;
+        const int mr = std::min(kQ8MR, mc - ip * kQ8MR);
+        if (weights_a) {
+          micro_kernel_q8_4x16<true>(ap, bp, kq, acc);
+        } else {
+          micro_kernel_q8_4x16<false>(ap, bp, kq, acc);
+        }
+        store_tile_q8(c, n, acc, i0 + ip * kQ8MR, jc + jp * kNR, mr, nr,
+                      rs + ip * kQ8MR, cs + jp * kNR, rc + ip * kQ8MR,
+                      cc + jp * kNR, first, last, row_bias, col_bias,
+                      relu);
+      }
+    }
+  }
+}
+
+// Int8 GEMM driver: the q8 counterpart of gemm_driver. The weights' role
+// selects the conv shape (A = packed Wq[M,K], B = fp32 activations
+// quantized on pack) vs the linear-abt shape (A = fp32 activation rows,
+// B = packed Wq[N,K]).
+void gemm_q8_driver(const PackedWeightsQ8& w, const float* act,
+                    const float* bias, float* c, int m, int n, int k,
+                    bool relu) {
+  APM_DCHECK(m >= 0 && n >= 0 && k >= 0);
+  const bool weights_a = w.role == WeightRole::kA;
+  const float* row_bias = weights_a ? bias : nullptr;
+  const float* col_bias = weights_a ? nullptr : bias;
+  if (m == 0 || n == 0) return;
+  if (k == 0) {
+    for (int i = 0; i < m; ++i) {
+      float* crow = c + static_cast<std::size_t>(i) * n;
+      std::memset(crow, 0, static_cast<std::size_t>(n) * 4);
+      if (row_bias) for (int j = 0; j < n; ++j) crow[j] += row_bias[i];
+      if (col_bias) for (int j = 0; j < n; ++j) crow[j] += col_bias[j];
+      if (relu) for (int j = 0; j < n; ++j) crow[j] = std::max(crow[j], 0.0f);
+    }
+    return;
+  }
+
+  const std::size_t w_rows = w.scale.size();  // whole panels
+  for (int jc = 0; jc < n; jc += kNC) {
+    const int nc = std::min(kNC, n - jc);
     const int n_panels = (nc + kNR - 1) / kNR;
     for (int kc0 = 0; kc0 < k; kc0 += kKC) {
       const int kc = std::min(kKC, k - kc0);
       const int kq = (kc + 3) / 4;
-      const bool first = kc0 == 0;
-      const bool last = kc0 + kc == k;
       // Every K block but the last is kKC deep (a whole number of quads),
       // so block kc0 of the weight panels starts kc0 * w_rows bytes in.
       const std::uint8_t* wblock = w.panels.data() + kc0 * w_rows;
@@ -758,138 +768,41 @@ void gemm_q8_region(ThreadPool* pool, const PackedWeightsQ8& w,
         cs = w.scale.data() + jc;
         cc = wcorr + jc;
       }
-      parallel_for(pool, 0, m_blocks, 1, [&, bpack, cs, cc](int ib0,
-                                                            int ib1) {
-        for (int ib = ib0; ib < ib1; ++ib) {
-          const int i0 = ib * kMC;
-          const int mc = std::min(kMC, m - i0);
-          const int m_panels = (mc + kQ8MR - 1) / kQ8MR;
-          const std::uint8_t* apack;
-          const float* rs;
-          const float* rc;
-          if (weights_a) {
-            apack = wblock + static_cast<std::size_t>(i0) * kq * 4;
-            rs = w.scale.data() + i0;
-            rc = wcorr + i0;
-          } else {
-            std::uint8_t* buf = pack_buffer(
-                tl_q8_apack,
-                static_cast<std::size_t>(m_panels) * kq * kQ8MR * 4);
-            float* scale = pack_buffer(
-                tl_q8_a_scale, static_cast<std::size_t>(m_panels) * kQ8MR);
-            float* off = pack_buffer(
-                tl_q8_a_corr, static_cast<std::size_t>(m_panels) * kQ8MR);
-            pack_act_rows_q8(act + static_cast<std::size_t>(i0) * k + kc0, k,
-                             mc, kc, kq, buf, scale, off);
-            apack = buf;
-            rs = scale;
-            rc = off;
-          }
-          std::int32_t acc[kQ8MR * kNR];
-          for (int jp = 0; jp < n_panels; ++jp) {
-            const std::uint8_t* bp =
-                bpack + static_cast<std::size_t>(jp) * kq * kNR * 4;
-            const int nr = std::min(kNR, nc - jp * kNR);
-            for (int ip = 0; ip < m_panels; ++ip) {
-              const std::uint8_t* ap =
-                  apack + static_cast<std::size_t>(ip) * kq * kQ8MR * 4;
-              const int mr = std::min(kQ8MR, mc - ip * kQ8MR);
-              if (weights_a) {
-                micro_kernel_q8_4x16<true>(ap, bp, kq, acc);
-              } else {
-                micro_kernel_q8_4x16<false>(ap, bp, kq, acc);
-              }
-              store_tile_q8(c, n, acc, i0 + ip * kQ8MR, jc + jp * kNR, mr, nr,
-                            rs + ip * kQ8MR, cs + jp * kNR, rc + ip * kQ8MR,
-                            cc + jp * kNR, first, last, row_bias, col_bias,
-                            relu);
-            }
-          }
-        }
-      });
+      q8_row_blocks(w, act, bias, c, m, n, k, kc0, nc, jc, bpack, cs, cc,
+                    relu);
     }
   }
-}
-
-// Int8 driver: identical sharding policy (and regression guard) as the
-// fp32 gemm_driver. Any split is bitwise-safe here too — integer tiles are
-// exact and the float dequant order per C element depends only on the kc
-// blocking.
-void gemm_q8_driver(ThreadPool* pool, const PackedWeightsQ8& w,
-                    const float* act, const float* bias, float* c, int m,
-                    int n, int k, bool relu) {
-  APM_DCHECK(m >= 0 && n >= 0 && k >= 0);
-  if (m == 0 || n == 0) return;
-  if (k == 0) {
-    const bool weights_a = w.role == WeightRole::kA;
-    const float* row_bias = weights_a ? bias : nullptr;
-    const float* col_bias = weights_a ? nullptr : bias;
-    for (int i = 0; i < m; ++i) {
-      float* crow = c + static_cast<std::size_t>(i) * n;
-      std::memset(crow, 0, static_cast<std::size_t>(n) * 4);
-      if (row_bias) for (int j = 0; j < n; ++j) crow[j] += row_bias[i];
-      if (col_bias) for (int j = 0; j < n; ++j) crow[j] += col_bias[j];
-      if (relu) for (int j = 0; j < n; ++j) crow[j] = std::max(crow[j], 0.0f);
-    }
-    return;
-  }
-  const int workers = plan_gemm_workers(pool, m, n, k);
-  if (workers > 1) {
-    int chunk = n / (2 * workers) / kNR * kNR;
-    chunk = std::max(chunk, kNR);
-    const int col_chunks = (n + chunk - 1) / chunk;
-    const int m_blocks = (m + kMC - 1) / kMC;
-    if (col_chunks >= 2 && col_chunks >= m_blocks) {
-      parallel_for(pool, 0, col_chunks, 1, [&](int cb0, int cb1) {
-        for (int cb = cb0; cb < cb1; ++cb) {
-          gemm_q8_region(nullptr, w, act, bias, c, m, n, k, relu, cb * chunk,
-                         std::min((cb + 1) * chunk, n));
-        }
-      });
-      return;
-    }
-    gemm_q8_region(pool, w, act, bias, c, m, n, k, relu, 0, n);
-    return;
-  }
-  gemm_q8_region(nullptr, w, act, bias, c, m, n, k, relu, 0, n);
 }
 
 }  // namespace
 
 void gemm(const float* a, const float* b, float* c, int m, int n, int k,
           bool accumulate) {
-  gemm_driver(nullptr, Operand{a}, Operand{b}, nullptr, nullptr, c, m, n, k,
-              accumulate, false);
-}
-
-void gemm_parallel(ThreadPool* pool, const float* a, const float* b, float* c,
-                   int m, int n, int k, bool accumulate) {
-  gemm_driver(pool, Operand{a}, Operand{b}, nullptr, nullptr, c, m, n, k,
+  gemm_driver(Operand{a}, Operand{b}, nullptr, nullptr, c, m, n, k,
               accumulate, false);
 }
 
 void gemm_bias_relu(const float* a, const float* b, const float* bias,
                     float* c, int m, int n, int k, bool relu) {
-  gemm_driver(nullptr, Operand{a}, Operand{b}, bias, nullptr, c, m, n, k,
-              false, relu);
+  gemm_driver(Operand{a}, Operand{b}, bias, nullptr, c, m, n, k, false, relu);
 }
 
 void gemm_atb(const float* a, const float* b, float* c, int m, int n, int k,
               bool accumulate) {
-  gemm_driver(nullptr, Operand{a, true}, Operand{b}, nullptr, nullptr, c, m,
-              n, k, accumulate, false);
+  gemm_driver(Operand{a, true}, Operand{b}, nullptr, nullptr, c, m, n, k,
+              accumulate, false);
 }
 
 void gemm_abt(const float* a, const float* b, float* c, int m, int n, int k,
               bool accumulate) {
-  gemm_driver(nullptr, Operand{a}, Operand{b, true}, nullptr, nullptr, c, m,
-              n, k, accumulate, false);
+  gemm_driver(Operand{a}, Operand{b, true}, nullptr, nullptr, c, m, n, k,
+              accumulate, false);
 }
 
 void gemm_abt_bias_relu(const float* a, const float* b, const float* bias,
                         float* c, int m, int n, int k, bool relu) {
-  gemm_driver(nullptr, Operand{a}, Operand{b, true}, nullptr, bias, c, m, n,
-              k, false, relu);
+  gemm_driver(Operand{a}, Operand{b, true}, nullptr, bias, c, m, n, k, false,
+              relu);
 }
 
 void pack_weights(const float* w, int rows, int k, WeightRole role,
@@ -915,20 +828,18 @@ void pack_weights(const float* w, int rows, int k, WeightRole role,
   }
 }
 
-void gemm_packed_bias_relu(ThreadPool* pool, const PackedWeights& w,
-                           const float* b, const float* bias, float* c, int n,
-                           bool relu) {
+void gemm_packed_bias_relu(const PackedWeights& w, const float* b,
+                           const float* bias, float* c, int n, bool relu) {
   APM_CHECK(w.role == WeightRole::kA);
-  gemm_driver(pool, Operand{nullptr, false, w.panels.data()}, Operand{b},
-              bias, nullptr, c, w.rows, n, w.k, false, relu);
+  gemm_driver(Operand{nullptr, false, w.panels.data()}, Operand{b}, bias,
+              nullptr, c, w.rows, n, w.k, false, relu);
 }
 
-void gemm_abt_packed_bias_relu(ThreadPool* pool, const float* a,
-                               const PackedWeights& w, const float* bias,
-                               float* c, int m, bool relu) {
+void gemm_abt_packed_bias_relu(const float* a, const PackedWeights& w,
+                               const float* bias, float* c, int m, bool relu) {
   APM_CHECK(w.role == WeightRole::kBt);
-  gemm_driver(pool, Operand{a}, Operand{nullptr, true, w.panels.data()},
-              nullptr, bias, c, m, w.rows, w.k, false, relu);
+  gemm_driver(Operand{a}, Operand{nullptr, true, w.panels.data()}, nullptr,
+              bias, c, m, w.rows, w.k, false, relu);
 }
 
 void quantize_rows_int8(const float* w, int rows, int k, std::int8_t* wq,
@@ -980,36 +891,33 @@ void pack_weights_q8(const std::int8_t* wq, const float* wscales, int rows,
   }
 }
 
-void gemm_q8_packed_bias_relu(ThreadPool* pool, const PackedWeightsQ8& w,
-                              const float* b, const float* bias, float* c,
-                              int n, bool relu) {
+void gemm_q8_packed_bias_relu(const PackedWeightsQ8& w, const float* b,
+                              const float* bias, float* c, int n, bool relu) {
   APM_CHECK(w.role == WeightRole::kA);
-  gemm_q8_driver(pool, w, b, bias, c, w.rows, n, w.k, relu);
+  gemm_q8_driver(w, b, bias, c, w.rows, n, w.k, relu);
 }
 
-void gemm_q8_abt_packed_bias_relu(ThreadPool* pool, const float* a,
-                                  const PackedWeightsQ8& w, const float* bias,
-                                  float* c, int m, bool relu) {
+void gemm_q8_abt_packed_bias_relu(const float* a, const PackedWeightsQ8& w,
+                                  const float* bias, float* c, int m,
+                                  bool relu) {
   APM_CHECK(w.role == WeightRole::kBt);
-  gemm_q8_driver(pool, w, a, bias, c, m, w.rows, w.k, relu);
+  gemm_q8_driver(w, a, bias, c, m, w.rows, w.k, relu);
 }
 
-void gemm_q8_bias_relu(ThreadPool* pool, const std::int8_t* wq,
-                       const float* wscales, const float* b,
-                       const float* bias, float* c, int m, int n, int k,
-                       bool relu) {
+void gemm_q8_bias_relu(const std::int8_t* wq, const float* wscales,
+                       const float* b, const float* bias, float* c, int m,
+                       int n, int k, bool relu) {
   PackedWeightsQ8 w;
   pack_weights_q8(wq, wscales, m, k, WeightRole::kA, w);
-  gemm_q8_packed_bias_relu(pool, w, b, bias, c, n, relu);
+  gemm_q8_packed_bias_relu(w, b, bias, c, n, relu);
 }
 
-void gemm_q8_abt_bias_relu(ThreadPool* pool, const float* a,
-                           const std::int8_t* wq, const float* wscales,
-                           const float* bias, float* c, int m, int n, int k,
-                           bool relu) {
+void gemm_q8_abt_bias_relu(const float* a, const std::int8_t* wq,
+                           const float* wscales, const float* bias, float* c,
+                           int m, int n, int k, bool relu) {
   PackedWeightsQ8 w;
   pack_weights_q8(wq, wscales, n, k, WeightRole::kBt, w);
-  gemm_q8_abt_packed_bias_relu(pool, a, w, bias, c, m, relu);
+  gemm_q8_abt_packed_bias_relu(a, w, bias, c, m, relu);
 }
 
 bool gemm_q8_simd_enabled() {
@@ -1018,11 +926,6 @@ bool gemm_q8_simd_enabled() {
 #else
   return false;
 #endif
-}
-
-void set_gemm_worker_cap_for_testing(int cap) {
-  APM_CHECK(cap >= 0);
-  g_worker_cap_override.store(cap, std::memory_order_relaxed);
 }
 
 void im2col(const float* x, int channels, int height, int width, int ksize,

@@ -15,13 +15,10 @@
 // accumulator per (row, panel), held across the whole K loop with no
 // per-element branches. The full tile is kMR x 16: kMR = 8 when the build
 // targets AVX-512 (8 zmm accumulators), 4 otherwise (8 ymm on AVX2) — a
-// build-time ISA choice, not an option. The driver optionally
-//   * fuses a per-row bias broadcast and a ReLU into the store epilogue
-//     (one pass over C instead of GEMM + bias pass + ReLU pass), and
-//   * shards M row-blocks across a ThreadPool (ParallelGemm). Each output
-//     element is produced by exactly one thread with the identical blocking
-//     and accumulation order as the serial path, so threaded and serial
-//     results are bitwise equal.
+// build-time ISA choice, not an option. The driver optionally fuses a
+// per-row bias broadcast and a ReLU into the store epilogue (one pass over
+// C instead of GEMM + bias pass + ReLU pass). Every GEMM runs on the
+// calling thread.
 //
 // Tail rule. The R < kMR rows left below the last whole tile run the same
 // kernel with P = min(4, kMR / R) B panels per call, so a batch-1 linear
@@ -42,10 +39,10 @@
 // on every path — a sequential multiply-add chain over k inside each kKC
 // block (one fused multiply-add per step where the target has FMA), blocks
 // added to C in order, bias and ReLU after the last block. The tile height,
-// the tail's R and P, pre-packed vs per-call panels and serial vs sharded
-// execution change only which instructions run, never that chain, so their
-// results are bitwise equal — and a kernel change that keeps the chain
-// keeps every inference output, and so every game, bitwise the same.
+// the tail's R and P and pre-packed vs per-call panels change only which
+// instructions run, never that chain, so their results are bitwise equal —
+// and a kernel change that keeps the chain keeps every inference output,
+// and so every game, bitwise the same.
 //
 // The gemm_q8 family is the int8 inference path hosted by the same driver
 // skeleton: weights arrive pre-quantized (symmetric per-output-channel
@@ -57,8 +54,8 @@
 // int32 (AVX-512 VNNI vpdpbusd when available, exact scalar otherwise),
 // and the dequantization — plus the same fused bias/ReLU — happens in the
 // store epilogue. Integer accumulation is exact and the per-element
-// dequant order is independent of sharding, so int8 results are bitwise
-// identical across thread counts AND across the SIMD/scalar kernels.
+// dequant order is fixed, so int8 results are bitwise identical across the
+// SIMD/scalar kernels.
 
 #include <cstddef>
 #include <cstdint>
@@ -69,23 +66,11 @@
 
 namespace apm {
 
-class ThreadPool;
-
 // --- GEMM family -----------------------------------------------------------
 
 // C[M,N] op= A[M,K]*B[K,N]; op is += when accumulate, = otherwise.
 void gemm(const float* a, const float* b, float* c, int m, int n, int k,
           bool accumulate);
-
-// ParallelGemm: same contract as gemm(); row-blocks of C are sharded across
-// `pool` (nullptr falls back to the serial path). Bitwise deterministic
-// versus the serial result. Regression guard: worker fan-out is capped at
-// hardware_concurrency() and the call degenerates to the serial path when
-// the problem is too small to give every shard a useful FLOP budget — the
-// pool can only ever help, never hurt (the BENCH_gemm t2/t4-slower-than-t1
-// anomaly on a 1-core host).
-void gemm_parallel(ThreadPool* pool, const float* a, const float* b, float* c,
-                   int m, int n, int k, bool accumulate);
 
 // Fused epilogue: C[M,N] = A[M,K]*B[K,N] + bias[i] (broadcast along the
 // row), then ReLU when `relu`. `bias` may be nullptr (no bias). This is the
@@ -154,17 +139,15 @@ void pack_weights(const float* w, int rows, int k, WeightRole role,
 
 // gemm_bias_relu with a pre-packed A (role kA): C[M,N] = W*B[K,N] + bias[i],
 // then ReLU when `relu`; M = w.rows, K = w.k. Bitwise equal to
-// gemm_bias_relu on the unpacked weights. `pool` shards like gemm_parallel.
-void gemm_packed_bias_relu(ThreadPool* pool, const PackedWeights& w,
-                           const float* b, const float* bias, float* c, int n,
-                           bool relu);
+// gemm_bias_relu on the unpacked weights.
+void gemm_packed_bias_relu(const PackedWeights& w, const float* b,
+                           const float* bias, float* c, int n, bool relu);
 
 // gemm_abt_bias_relu with a pre-packed B (role kBt): C[M,N] = A[M,K]*W^T +
 // bias[j], then ReLU when `relu`; N = w.rows, K = w.k. Bitwise equal to
 // gemm_abt_bias_relu on the unpacked weights.
-void gemm_abt_packed_bias_relu(ThreadPool* pool, const float* a,
-                               const PackedWeights& w, const float* bias,
-                               float* c, int m, bool relu);
+void gemm_abt_packed_bias_relu(const float* a, const PackedWeights& w,
+                               const float* bias, float* c, int m, bool relu);
 
 // --- int8 quantized GEMM family ---------------------------------------------
 
@@ -196,40 +179,30 @@ void pack_weights_q8(const std::int8_t* wq, const float* wscales, int rows,
 // Quantized convolution forward on pre-packed weights (role kA):
 // C[M,N] = dequant(Wq * q8(B[K,N])) + bias[row i], then ReLU when `relu`.
 // B (the im2col activations) is quantized on the fly during the pack step.
-// `bias` may be nullptr. `pool` shards like gemm_parallel (nullptr =
-// serial); results are bitwise identical for every pool size.
-void gemm_q8_packed_bias_relu(ThreadPool* pool, const PackedWeightsQ8& w,
-                              const float* b, const float* bias, float* c,
-                              int n, bool relu);
+// `bias` may be nullptr.
+void gemm_q8_packed_bias_relu(const PackedWeightsQ8& w, const float* b,
+                              const float* bias, float* c, int n, bool relu);
 
 // Quantized linear forward on pre-packed weights (role kBt):
 // C[M,N] = dequant(q8(A[M,K]) * Wq^T) + bias[col j], then ReLU when `relu`.
-void gemm_q8_abt_packed_bias_relu(ThreadPool* pool, const float* a,
-                                  const PackedWeightsQ8& w, const float* bias,
-                                  float* c, int m, bool relu);
+void gemm_q8_abt_packed_bias_relu(const float* a, const PackedWeightsQ8& w,
+                                  const float* bias, float* c, int m,
+                                  bool relu);
 
 // One-shot forms of the two above for callers without a layer to own the
 // pack (tests, benches): pack_weights_q8 into a temporary, then the packed
 // GEMM. Wq/wscales from quantize_rows_int8.
-void gemm_q8_bias_relu(ThreadPool* pool, const std::int8_t* wq,
-                       const float* wscales, const float* b,
-                       const float* bias, float* c, int m, int n, int k,
-                       bool relu);
+void gemm_q8_bias_relu(const std::int8_t* wq, const float* wscales,
+                       const float* b, const float* bias, float* c, int m,
+                       int n, int k, bool relu);
 
-void gemm_q8_abt_bias_relu(ThreadPool* pool, const float* a,
-                           const std::int8_t* wq, const float* wscales,
-                           const float* bias, float* c, int m, int n, int k,
-                           bool relu);
+void gemm_q8_abt_bias_relu(const float* a, const std::int8_t* wq,
+                           const float* wscales, const float* bias, float* c,
+                           int m, int n, int k, bool relu);
 
 // True when the AVX-512 VNNI micro-kernel is compiled in (the scalar
 // fallback computes bit-identical results, only slower).
 bool gemm_q8_simd_enabled();
-
-// Test/bench override for the ParallelGemm worker cap (normally
-// hardware_concurrency()): > 0 pretends the host has that many cores, 0
-// restores auto-detection. Lets the sharded code paths run on a 1-core CI
-// host, where the regression guard would otherwise serialise every GEMM.
-void set_gemm_worker_cap_for_testing(int cap);
 
 // --- convolution lowering ---------------------------------------------------
 

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <thread>
+#include <vector>
 
 #include "eval/async_batch.hpp"
 #include "eval/evaluator.hpp"
@@ -150,30 +151,62 @@ TEST(CpuBackend, ModelledLatencyTracksMeasured) {
   EXPECT_NEAR(backend.model_batch_us(4), 4 * measured, measured);
 }
 
-TEST(NetEvaluator, IntraOpPoolBitwiseMatchesSerial) {
-  // The intra-op GEMM pool shards conv row/column blocks; results must be
-  // bit-identical to the serial evaluator (the ParallelGemm determinism
-  // contract, observed end-to-end).
+TEST(NetEvaluator, ConcurrentCallersMatchSingleThread) {
+  // Shared-tree workers call one NetEvaluator from several threads at
+  // once; each thread gets its own workspace from the evaluator's
+  // per-thread map. Every thread's outputs must be bitwise what a
+  // sequential run of the same positions gives.
   PolicyValueNet net(NetConfig::tiny(9), 11);
-  NetEvaluator serial(net, /*gemm_threads=*/0);
-  NetEvaluator pooled(net, /*gemm_threads=*/2);
-  EXPECT_EQ(pooled.gemm_threads(), 2);
-
-  // Batch 26 on the 9x9 board gives the conv GEMMs N = 26*81 = 2106
-  // columns — enough column chunks that the driver actually takes the
-  // sharded path (a small batch would degenerate to the serial code and
-  // make this test vacuous).
-  const int batch = 26;
-  const std::size_t isz = serial.input_size();
+  NetEvaluator eval(net);
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 6;
+  const std::size_t isz = eval.input_size();
   Rng rng(77);
-  std::vector<float> inputs(batch * isz);
+  std::vector<float> inputs(kThreads * kPerThread * isz);
   for (auto& v : inputs) v = rng.uniform_float();
-  std::vector<EvalOutput> a(batch), b(batch);
-  serial.evaluate_batch(inputs.data(), batch, a.data());
-  pooled.evaluate_batch(inputs.data(), batch, b.data());
-  for (int i = 0; i < batch; ++i) {
-    ASSERT_EQ(a[i].policy, b[i].policy) << "i=" << i;
-    ASSERT_EQ(a[i].value, b[i].value) << "i=" << i;
+  const auto position = [&](int t, int i) {
+    return inputs.data() + (t * kPerThread + i) * isz;
+  };
+
+  // Reference: every position evaluated on this thread, one at a time.
+  std::vector<EvalOutput> expect(kThreads * kPerThread);
+  for (int t = 0; t < kThreads; ++t)
+    for (int i = 0; i < kPerThread; ++i)
+      eval.evaluate(position(t, i), expect[t * kPerThread + i]);
+
+  // Each thread alternates single evaluations with one batch of its
+  // positions, so the workspaces also resize under concurrency.
+  std::vector<EvalOutput> single(kThreads * kPerThread);
+  std::vector<EvalOutput> batched(kThreads * kPerThread);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int i = 0; i < kPerThread; ++i) {
+        eval.evaluate(position(t, i), single[t * kPerThread + i]);
+      }
+      eval.evaluate_batch(position(t, 0), kPerThread,
+                          batched.data() + t * kPerThread);
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  for (int j = 0; j < kThreads * kPerThread; ++j) {
+    ASSERT_EQ(single[j].policy, expect[j].policy) << "position " << j;
+    ASSERT_EQ(single[j].value, expect[j].value) << "position " << j;
+  }
+  // The concurrent batches against the same batches run sequentially.
+  for (int t = 0; t < kThreads; ++t) {
+    std::vector<EvalOutput> seq(kPerThread);
+    eval.evaluate_batch(position(t, 0), kPerThread, seq.data());
+    for (int i = 0; i < kPerThread; ++i) {
+      ASSERT_EQ(batched[t * kPerThread + i].policy, seq[i].policy)
+          << "thread " << t << " row " << i;
+      ASSERT_EQ(batched[t * kPerThread + i].value, seq[i].value)
+          << "thread " << t << " row " << i;
+    }
   }
 }
 

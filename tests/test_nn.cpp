@@ -6,9 +6,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <latch>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include "nn/conv2d.hpp"
@@ -503,6 +505,17 @@ TEST(Serialization, RejectsMismatchedConfig) {
   std::stringstream stream;
   save_net(a, stream);
   EXPECT_DEATH(load_net(b, stream), "config mismatch");
+}
+
+TEST(Serialization, PeekRejectsUnsupportedVersion) {
+  PolicyValueNet net(NetConfig::tiny(4), 1);
+  std::stringstream saved;
+  save_net(net, saved);
+  std::string bytes = saved.str();
+  const std::uint32_t version = 99;  // the u32 after the 4-byte magic
+  std::memcpy(bytes.data() + 4, &version, sizeof version);
+  std::stringstream stream(bytes);
+  EXPECT_DEATH(peek_net_config(stream), "unsupported checkpoint version");
 }
 
 TEST(Optimizer, MomentumAccumulates) {

@@ -1,7 +1,6 @@
 // Quantized-inference tests. Kernel layer: int8 GEMM vs fp32 reference
-// tolerance, exact agreement with a naive quantize/dequantize reference,
-// bitwise determinism across thread counts, and the ParallelGemm
-// regression guard (worker cap + per-shard FLOP floor). Net layer: the
+// tolerance and exact agreement with a naive quantize/dequantize
+// reference, per-call and on weights packed once. Net layer: the
 // fp32 -> int8 conversion pass, APMQ checkpoint round-trips (per-channel
 // scales survive bit-for-bit), and the NetEvaluator int8 flavor.
 
@@ -18,7 +17,6 @@
 #include "eval/net_evaluator.hpp"
 #include "nn/quantize.hpp"
 #include "support/rng.hpp"
-#include "support/thread_pool.hpp"
 #include "tensor/ops.hpp"
 
 namespace apm {
@@ -40,12 +38,6 @@ void naive_gemm(const std::vector<float>& a, const std::vector<float>& b,
       c[i * n + j] = static_cast<float>(acc);
     }
 }
-
-// Restores the auto-detected worker cap when a test body returns or throws.
-struct WorkerCapGuard {
-  explicit WorkerCapGuard(int cap) { set_gemm_worker_cap_for_testing(cap); }
-  ~WorkerCapGuard() { set_gemm_worker_cap_for_testing(0); }
-};
 
 TEST(QuantizeRows, RoundTripWithinHalfStep) {
   const int rows = 5, k = 37;
@@ -105,7 +97,7 @@ TEST_P(Q8GemmShapes, ConvShapeTracksFp32) {
   std::vector<float> scales(m);
   quantize_rows_int8(w.data(), m, k, wq.data(), scales.data());
   std::vector<float> got(static_cast<std::size_t>(m) * n, -5.0f);
-  gemm_q8_bias_relu(nullptr, wq.data(), scales.data(), x.data(), bias.data(),
+  gemm_q8_bias_relu(wq.data(), scales.data(), x.data(), bias.data(),
                     got.data(), m, n, k, /*relu=*/false);
 
   const float tol = 0.02f * std::sqrt(static_cast<float>(k)) + 0.02f;
@@ -128,8 +120,8 @@ TEST_P(Q8GemmShapes, LinearShapeTracksFp32) {
   std::vector<float> scales(n);
   quantize_rows_int8(wt.data(), n, k, wq.data(), scales.data());
   std::vector<float> got(static_cast<std::size_t>(m) * n, -5.0f);
-  gemm_q8_abt_bias_relu(nullptr, a.data(), wq.data(), scales.data(),
-                        bias.data(), got.data(), m, n, k, /*relu=*/true);
+  gemm_q8_abt_bias_relu(a.data(), wq.data(), scales.data(), bias.data(),
+                        got.data(), m, n, k, /*relu=*/true);
 
   const float tol = 0.02f * std::sqrt(static_cast<float>(k)) + 0.02f;
   for (std::size_t i = 0; i < got.size(); ++i)
@@ -153,7 +145,7 @@ INSTANTIATE_TEST_SUITE_P(
 // activations with the same per-(K-block, lane) asymmetric rule the pack
 // step uses, accumulate in int32, dequantize per block. The packed kernel
 // must match this reference exactly (not just within tolerance) — that is
-// the property that makes SIMD vs scalar and serial vs threaded agree.
+// the property that makes the SIMD and scalar kernels agree.
 void reference_q8_conv(const std::vector<std::int8_t>& wq,
                        const std::vector<float>& ws,
                        const std::vector<float>& x,
@@ -204,10 +196,8 @@ void reference_q8_conv(const std::vector<std::int8_t>& wq,
 TEST(Q8Gemm, MatchesBitExactReference) {
   // The k = 513 rows add the pack-once inputs: M across the kMR/kMC tiles,
   // several kKC blocks, ragged N. Each shape also runs on weights packed
-  // once (pack_weights_q8), serial and sharded, with and without ReLU, and
-  // the linear role against its per-call form.
-  WorkerCapGuard cap(8);  // let the 3-worker pool shard on small hosts
-  ThreadPool pool(3);
+  // once (pack_weights_q8), with and without ReLU, and the linear role
+  // against its per-call form.
   for (const auto [m, n, k] :
        {std::tuple{5, 19, 30}, std::tuple{33, 40, 300},
         std::tuple{64, 80, 513}, std::tuple{1, 47, 513},
@@ -240,77 +230,26 @@ TEST(Q8Gemm, MatchesBitExactReference) {
     for (const bool relu : {true, false}) {
       reference_q8_conv(wq, ws, x, bias, expect, m, n, k, relu);
       std::fill(got.begin(), got.end(), -3.0f);
-      gemm_q8_bias_relu(nullptr, wq.data(), ws.data(), x.data(), bias.data(),
+      gemm_q8_bias_relu(wq.data(), ws.data(), x.data(), bias.data(),
                         got.data(), m, n, k, relu);
       ASSERT_EQ(std::memcmp(got.data(), expect.data(), bytes), 0)
           << "m=" << m << " n=" << n << " k=" << k;
-      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-        std::fill(got.begin(), got.end(), -3.0f);
-        gemm_q8_packed_bias_relu(p, packed, x.data(), bias.data(), got.data(),
-                                 n, relu);
-        ASSERT_EQ(std::memcmp(got.data(), expect.data(), bytes), 0)
-            << "packed m=" << m << " n=" << n << " k=" << k
-            << " relu=" << relu << " pool=" << (p != nullptr);
-      }
+      std::fill(got.begin(), got.end(), -3.0f);
+      gemm_q8_packed_bias_relu(packed, x.data(), bias.data(), got.data(), n,
+                               relu);
+      ASSERT_EQ(std::memcmp(got.data(), expect.data(), bytes), 0)
+          << "packed m=" << m << " n=" << n << " k=" << k
+          << " relu=" << relu;
 
-      gemm_q8_abt_bias_relu(nullptr, a.data(), wtq.data(), wts.data(),
-                            cbias.data(), expect.data(), m, n, k, relu);
-      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-        std::fill(got.begin(), got.end(), -3.0f);
-        gemm_q8_abt_packed_bias_relu(p, a.data(), packed_t, cbias.data(),
-                                     got.data(), m, relu);
-        ASSERT_EQ(std::memcmp(got.data(), expect.data(), bytes), 0)
-            << "packed linear m=" << m << " n=" << n << " k=" << k
-            << " relu=" << relu << " pool=" << (p != nullptr);
-      }
+      gemm_q8_abt_bias_relu(a.data(), wtq.data(), wts.data(), cbias.data(),
+                            expect.data(), m, n, k, relu);
+      std::fill(got.begin(), got.end(), -3.0f);
+      gemm_q8_abt_packed_bias_relu(a.data(), packed_t, cbias.data(),
+                                   got.data(), m, relu);
+      ASSERT_EQ(std::memcmp(got.data(), expect.data(), bytes), 0)
+          << "packed linear m=" << m << " n=" << n << " k=" << k
+          << " relu=" << relu;
     }
-  }
-}
-
-TEST(Q8Gemm, BitwiseDeterministicAcrossThreadCounts) {
-  // Raise the worker cap so the sharded paths actually run on a 1-core
-  // host; the regression guard would otherwise serialise everything.
-  WorkerCapGuard cap(8);
-  for (const auto [m, n, k] :
-       {std::tuple{130, 95, 300}, std::tuple{70, 2100, 90},
-        std::tuple{3, 1025, 513}}) {
-    Rng rng(static_cast<std::uint64_t>(m ^ (n << 9) ^ k));
-    const auto w = random_vec(static_cast<std::size_t>(m) * k, rng);
-    const auto x = random_vec(static_cast<std::size_t>(k) * n, rng);
-    const auto bias = random_vec(static_cast<std::size_t>(m), rng);
-    std::vector<std::int8_t> wq(w.size());
-    std::vector<float> ws(m);
-    quantize_rows_int8(w.data(), m, k, wq.data(), ws.data());
-
-    std::vector<float> serial(static_cast<std::size_t>(m) * n);
-    gemm_q8_bias_relu(nullptr, wq.data(), ws.data(), x.data(), bias.data(),
-                      serial.data(), m, n, k, true);
-    for (int threads : {2, 3, 5}) {
-      ThreadPool pool(threads - 1);
-      std::vector<float> threaded(serial.size(), -9.0f);
-      gemm_q8_bias_relu(&pool, wq.data(), ws.data(), x.data(), bias.data(),
-                        threaded.data(), m, n, k, true);
-      ASSERT_EQ(std::memcmp(serial.data(), threaded.data(),
-                            serial.size() * sizeof(float)),
-                0)
-          << "threads=" << threads << " m=" << m << " n=" << n << " k=" << k;
-    }
-
-    // Linear shape too (activation rows x weight columns).
-    const auto wt = random_vec(static_cast<std::size_t>(n) * k, rng);
-    std::vector<std::int8_t> wtq(wt.size());
-    std::vector<float> wts(n);
-    quantize_rows_int8(wt.data(), n, k, wtq.data(), wts.data());
-    const auto cbias = random_vec(static_cast<std::size_t>(n), rng);
-    gemm_q8_abt_bias_relu(nullptr, w.data(), wtq.data(), wts.data(),
-                          cbias.data(), serial.data(), m, n, k, false);
-    ThreadPool pool(3);
-    std::vector<float> threaded(serial.size(), -9.0f);
-    gemm_q8_abt_bias_relu(&pool, w.data(), wtq.data(), wts.data(),
-                          cbias.data(), threaded.data(), m, n, k, false);
-    ASSERT_EQ(std::memcmp(serial.data(), threaded.data(),
-                          serial.size() * sizeof(float)),
-              0);
   }
 }
 
@@ -320,8 +259,8 @@ TEST(Q8Gemm, DegenerateShapes) {
   std::vector<float> ws = {0.5f, 0.25f};
   std::vector<float> bias = {1.0f, -2.0f};
   std::vector<float> c(6, 9.0f);
-  gemm_q8_bias_relu(nullptr, wq.data(), ws.data(), nullptr, bias.data(),
-                    c.data(), 2, 3, 0, /*relu=*/true);
+  gemm_q8_bias_relu(wq.data(), ws.data(), nullptr, bias.data(), c.data(), 2,
+                    3, 0, /*relu=*/true);
   for (int j = 0; j < 3; ++j) {
     EXPECT_EQ(c[j], 1.0f);
     EXPECT_EQ(c[3 + j], 0.0f);  // relu clamps the -2 bias
@@ -334,50 +273,9 @@ TEST(Q8Gemm, DegenerateShapes) {
   std::vector<float> ws2(m);
   quantize_rows_int8(w.data(), m, k, wq2.data(), ws2.data());
   std::vector<float> out(static_cast<std::size_t>(m) * n, 4.0f);
-  gemm_q8_bias_relu(nullptr, wq2.data(), ws2.data(), zeros.data(), nullptr,
-                    out.data(), m, n, k, false);
+  gemm_q8_bias_relu(wq2.data(), ws2.data(), zeros.data(), nullptr, out.data(),
+                    m, n, k, false);
   for (float v : out) EXPECT_EQ(v, 0.0f);
-}
-
-TEST(ParallelGemm, GuardSerialisesBelowFlopFloor) {
-  // With the cap forced to 1 "core", a pooled call must take the serial
-  // path and still produce the serial result — and a small GEMM must stay
-  // serial even with a generous cap (per-shard FLOP floor).
-  ThreadPool pool(3);
-  const int m = 32, n = 48, k = 32;  // 2*m*n*k ~ 98e3 flops, far below floor
-  Rng rng(5);
-  const auto a = random_vec(static_cast<std::size_t>(m) * k, rng);
-  const auto b = random_vec(static_cast<std::size_t>(k) * n, rng);
-  std::vector<float> serial(static_cast<std::size_t>(m) * n);
-  gemm(a.data(), b.data(), serial.data(), m, n, k, false);
-
-  for (int cap : {1, 16}) {
-    WorkerCapGuard guard(cap);
-    std::vector<float> pooled(serial.size(), -1.0f);
-    gemm_parallel(&pool, a.data(), b.data(), pooled.data(), m, n, k, false);
-    ASSERT_EQ(std::memcmp(serial.data(), pooled.data(),
-                          serial.size() * sizeof(float)),
-              0)
-        << "cap=" << cap;
-  }
-}
-
-TEST(ParallelGemm, LargeGemmStillShardsUnderGenerousCap) {
-  // Above the FLOP floor with a raised cap the sharded path runs and stays
-  // bitwise equal to serial (the original ParallelGemm contract).
-  WorkerCapGuard guard(8);
-  ThreadPool pool(3);
-  const int m = 256, n = 256, k = 256;
-  Rng rng(6);
-  const auto a = random_vec(static_cast<std::size_t>(m) * k, rng);
-  const auto b = random_vec(static_cast<std::size_t>(k) * n, rng);
-  std::vector<float> serial(static_cast<std::size_t>(m) * n);
-  std::vector<float> pooled(serial.size(), -1.0f);
-  gemm(a.data(), b.data(), serial.data(), m, n, k, false);
-  gemm_parallel(&pool, a.data(), b.data(), pooled.data(), m, n, k, false);
-  ASSERT_EQ(std::memcmp(serial.data(), pooled.data(),
-                        serial.size() * sizeof(float)),
-            0);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,10 +6,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <tuple>
 #include <vector>
 
-#include "support/thread_pool.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 
@@ -155,61 +153,15 @@ TEST(Gemm, FusedAbtBiasReluMatchesSeparatePasses) {
     ASSERT_NEAR(got[i], expect[i], 1e-3f) << "i=" << i;
 }
 
-TEST(Gemm, ParallelBitwiseEqualsSerial) {
-  // The sharded path must produce bit-identical results: each C element is
-  // computed by exactly one thread with the same blocking and accumulation
-  // order as the serial kernel. Shapes cover both sharding strategies —
-  // row-block sharding (single column block) and column-range sharding
-  // (n > one NC block, the whole-batch conv shape).
-  ThreadPool pool(3);
-  for (const auto [m, n, k] :
-       {std::tuple{130, 95, 300}, std::tuple{70, 2100, 90},
-        std::tuple{3, 1025, 513}}) {
-    Rng rng(static_cast<std::uint64_t>(m ^ (n << 8) ^ k));
-    const auto a = random_vec(static_cast<std::size_t>(m) * k, rng);
-    const auto b = random_vec(static_cast<std::size_t>(k) * n, rng);
-    std::vector<float> serial(static_cast<std::size_t>(m) * n);
-    std::vector<float> threaded(static_cast<std::size_t>(m) * n);
-    gemm(a.data(), b.data(), serial.data(), m, n, k, /*accumulate=*/false);
-    gemm_parallel(&pool, a.data(), b.data(), threaded.data(), m, n, k,
-                  /*accumulate=*/false);
-    ASSERT_EQ(std::memcmp(serial.data(), threaded.data(),
-                          serial.size() * sizeof(float)),
-              0)
-        << "m=" << m << " n=" << n << " k=" << k;
-
-    // Fused-epilogue parallel path as well (the conv forward shape, on
-    // weights packed once).
-    const auto bias = random_vec(static_cast<std::size_t>(m), rng);
-    gemm_bias_relu(a.data(), b.data(), bias.data(), serial.data(), m, n, k,
-                   true);
-    PackedWeights packed;
-    pack_weights(a.data(), m, k, WeightRole::kA, packed);
-    gemm_packed_bias_relu(&pool, packed, b.data(), bias.data(),
-                          threaded.data(), n, true);
-    ASSERT_EQ(std::memcmp(serial.data(), threaded.data(),
-                          serial.size() * sizeof(float)),
-              0);
-  }
-}
-
-// Restores the auto-detected worker cap when a test body returns or throws.
-struct WorkerCapGuard {
-  explicit WorkerCapGuard(int cap) { set_gemm_worker_cap_for_testing(cap); }
-  ~WorkerCapGuard() { set_gemm_worker_cap_for_testing(0); }
-};
-
 TEST(Gemm, PackedWeightsBitwiseEqualPerCallPack) {
   // Weights packed once must give bit for bit what the per-call pack gives,
   // for both roles (conv A panels, linear B panels), across the kMR/kMC
-  // row tiles, several kKC blocks (k = 513), ragged N, both epilogues and
-  // the sharded driver. And because row i of C depends only on row i of
+  // row tiles, several kKC blocks (k = 513), ragged N and both epilogues.
+  // And because row i of C depends only on row i of
   // the row-side operand, each row computed alone (a one-row tail tile)
   // must equal the same row computed inside a full kMR x 16 tile. M hits
   // every tail row count of both tile heights (kMR = 4 and 8); N hits
   // every count of B panels left over after the multi-panel tail calls.
-  WorkerCapGuard cap(8);  // let the 3-worker pool shard on small hosts
-  ThreadPool pool(3);
   const int k = 513;
   for (const int n : {16, 31, 33, 47, 225, 1100}) {
     for (const int m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 67}) {
@@ -229,16 +181,13 @@ TEST(Gemm, PackedWeightsBitwiseEqualPerCallPack) {
       for (const bool relu : {false, true}) {
         gemm_abt_bias_relu(act.data(), w_lin.data(), b_lin.data(),
                            expect.data(), m, n, k, relu);
-        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-          std::fill(got.begin(), got.end(), -7.0f);
-          gemm_abt_packed_bias_relu(p, act.data(), lin, b_lin.data(),
-                                    got.data(), m, relu);
-          ASSERT_EQ(std::memcmp(got.data(), expect.data(), out * 4), 0)
-              << "linear m=" << m << " n=" << n << " relu=" << relu
-              << " pool=" << (p != nullptr);
-        }
+        std::fill(got.begin(), got.end(), -7.0f);
+        gemm_abt_packed_bias_relu(act.data(), lin, b_lin.data(), got.data(),
+                                  m, relu);
+        ASSERT_EQ(std::memcmp(got.data(), expect.data(), out * 4), 0)
+            << "linear m=" << m << " n=" << n << " relu=" << relu;
         for (int i = 0; i < m; ++i) {
-          gemm_abt_packed_bias_relu(nullptr, act.data() + i * k, lin,
+          gemm_abt_packed_bias_relu(act.data() + i * k, lin,
                                     b_lin.data(), row.data(), 1, relu);
           ASSERT_EQ(std::memcmp(row.data(), expect.data() + i * n, n * 4), 0)
               << "linear row " << i << " of m=" << m << " n=" << n;
@@ -246,18 +195,15 @@ TEST(Gemm, PackedWeightsBitwiseEqualPerCallPack) {
 
         gemm_bias_relu(w_conv.data(), col.data(), b_conv.data(),
                        expect.data(), m, n, k, relu);
-        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-          std::fill(got.begin(), got.end(), -7.0f);
-          gemm_packed_bias_relu(p, conv, col.data(), b_conv.data(),
-                                got.data(), n, relu);
-          ASSERT_EQ(std::memcmp(got.data(), expect.data(), out * 4), 0)
-              << "conv m=" << m << " n=" << n << " relu=" << relu
-              << " pool=" << (p != nullptr);
-        }
+        std::fill(got.begin(), got.end(), -7.0f);
+        gemm_packed_bias_relu(conv, col.data(), b_conv.data(), got.data(), n,
+                              relu);
+        ASSERT_EQ(std::memcmp(got.data(), expect.data(), out * 4), 0)
+            << "conv m=" << m << " n=" << n << " relu=" << relu;
         PackedWeights one;
         for (int i = 0; i < m; ++i) {
           pack_weights(w_conv.data() + i * k, 1, k, WeightRole::kA, one);
-          gemm_packed_bias_relu(nullptr, one, col.data(), b_conv.data() + i,
+          gemm_packed_bias_relu(one, col.data(), b_conv.data() + i,
                                 row.data(), n, relu);
           ASSERT_EQ(std::memcmp(row.data(), expect.data() + i * n, n * 4), 0)
               << "conv row " << i << " of m=" << m << " n=" << n;
@@ -321,7 +267,7 @@ TEST(Gemm, MatchesSequentialFmaChain) {
                      relu);
       ASSERT_EQ(std::memcmp(got.data(), expect.data(), out * 4), 0)
           << "gemm_bias_relu m=" << m << " n=" << n << " k=" << k;
-      gemm_packed_bias_relu(nullptr, conv, b.data(), row_bias.data(),
+      gemm_packed_bias_relu(conv, b.data(), row_bias.data(),
                             got.data(), n, relu);
       ASSERT_EQ(std::memcmp(got.data(), expect.data(), out * 4), 0)
           << "gemm_packed_bias_relu m=" << m << " n=" << n << " k=" << k;
@@ -337,7 +283,7 @@ TEST(Gemm, MatchesSequentialFmaChain) {
                          n, k, relu);
       ASSERT_EQ(std::memcmp(got.data(), expect.data(), out * 4), 0)
           << "gemm_abt_bias_relu m=" << m << " n=" << n << " k=" << k;
-      gemm_abt_packed_bias_relu(nullptr, a.data(), lin, col_bias.data(),
+      gemm_abt_packed_bias_relu(a.data(), lin, col_bias.data(),
                                 got.data(), m, relu);
       ASSERT_EQ(std::memcmp(got.data(), expect.data(), out * 4), 0)
           << "gemm_abt_packed_bias_relu m=" << m << " n=" << n << " k=" << k;
