@@ -11,7 +11,7 @@ namespace apm {
 
 RootParallelMcts::RootParallelMcts(MctsConfig cfg, int workers,
                                    Evaluator& eval)
-    : MctsSearch(cfg), workers_(workers), eval_(eval) {
+    : MctsSearch(cfg, eval), workers_(workers), eval_(eval) {
   APM_CHECK(workers >= 1);
 }
 
@@ -45,18 +45,7 @@ SearchResult RootParallelMcts::search(const Game& env) {
       result.action_prior[a] += p.action_prior[a];
     }
     value_acc += p.root_value;
-    result.metrics.select_seconds += p.metrics.select_seconds;
-    result.metrics.expand_seconds += p.metrics.expand_seconds;
-    result.metrics.backup_seconds += p.metrics.backup_seconds;
-    result.metrics.eval_seconds += p.metrics.eval_seconds;
-    result.metrics.eval_requests += p.metrics.eval_requests;
-    result.metrics.expansions += p.metrics.expansions;
-    result.metrics.sum_depth += p.metrics.sum_depth;
-    result.metrics.terminal_rollouts += p.metrics.terminal_rollouts;
-    result.metrics.nodes += p.metrics.nodes;
-    result.metrics.edges += p.metrics.edges;
-    result.metrics.max_depth =
-        std::max(result.metrics.max_depth, p.metrics.max_depth);
+    result.metrics.accumulate(p.metrics);
   }
   float best = -1.0f;
   for (std::size_t a = 0; a < result.action_prior.size(); ++a) {
@@ -75,11 +64,10 @@ SearchResult RootParallelMcts::search(const Game& env) {
 
 LeafParallelMcts::LeafParallelMcts(MctsConfig cfg, int workers,
                                    Evaluator& eval, SearchTree* shared_tree)
-    : MctsSearch(cfg, shared_tree),
+    : MctsSearch(cfg, eval, shared_tree),
       workers_(workers),
       eval_(eval),
-      pool_(static_cast<std::size_t>(workers)),
-      rng_(cfg.seed) {
+      pool_(static_cast<std::size_t>(workers)) {
   APM_CHECK(workers >= 1);
 }
 

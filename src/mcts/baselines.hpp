@@ -48,7 +48,6 @@ class LeafParallelMcts final : public MctsSearch {
   int workers_;
   Evaluator& eval_;
   ThreadPool pool_;
-  Rng rng_;
 };
 
 }  // namespace apm

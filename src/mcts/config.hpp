@@ -88,8 +88,8 @@ struct SearchMetrics {
   // Evaluation time, per driver:
   //  * serial and shared tree over a CPU evaluator: leaf encode + evaluate()
   //    on the searching thread;
-  //  * local tree over its CPU worker pool: evaluate() on the worker, as
-  //    the worker timed it (the master encodes);
+  //  * local tree over the EvalPort's CPU worker pool: evaluate() on the
+  //    worker, as the worker timed it (the master encodes);
   //  * any driver over a batch queue: time its searching threads spend
   //    blocked on the queue's results.
   // So on a CPU evaluator eval_seconds / eval_requests is one evaluation's
@@ -138,6 +138,12 @@ struct SearchMetrics {
   std::size_t reused_nodes = 0;
   std::int64_t reused_visits = 0;
   BatchQueueStats batch;
+
+  // Folds in a part of the move measured separately (one shared-tree
+  // worker, one root-parallel tree): counters and resource-seconds add, and
+  // max_depth takes the maximum. workers, move_seconds and batch describe
+  // the whole move and are left to the caller.
+  void accumulate(const SearchMetrics& part);
 
   double amortized_iteration_us() const {
     return playouts > 0 ? move_seconds * 1e6 / playouts : 0.0;

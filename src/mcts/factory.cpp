@@ -6,28 +6,23 @@ namespace apm {
 
 namespace {
 
+// The tree drivers prefer the batch queue when both resources are set.
+EvalPort port_for(const SearchResources& res) {
+  return res.batch != nullptr ? EvalPort(*res.batch)
+                              : EvalPort(*res.evaluator);
+}
+
 std::unique_ptr<MctsSearch> build(Scheme scheme, MctsConfig cfg, int workers,
                                   const SearchResources& res,
                                   SearchTree* shared_tree) {
   switch (scheme) {
     case Scheme::kSerial:
-      if (res.batch != nullptr) {
-        return std::make_unique<SerialMcts>(cfg, *res.batch, shared_tree);
-      }
-      return std::make_unique<SerialMcts>(cfg, *res.evaluator, shared_tree);
+      return std::make_unique<SerialMcts>(cfg, port_for(res), shared_tree);
     case Scheme::kSharedTree:
-      if (res.batch != nullptr) {
-        return std::make_unique<SharedTreeMcts>(cfg, workers, *res.batch,
-                                                shared_tree);
-      }
-      return std::make_unique<SharedTreeMcts>(cfg, workers, *res.evaluator,
+      return std::make_unique<SharedTreeMcts>(cfg, workers, port_for(res),
                                               shared_tree);
     case Scheme::kLocalTree:
-      if (res.batch != nullptr) {
-        return std::make_unique<LocalTreeMcts>(cfg, workers, *res.batch,
-                                               shared_tree);
-      }
-      return std::make_unique<LocalTreeMcts>(cfg, workers, *res.evaluator,
+      return std::make_unique<LocalTreeMcts>(cfg, workers, port_for(res),
                                              shared_tree);
     case Scheme::kLeafParallel:
       APM_CHECK_MSG(res.evaluator != nullptr,

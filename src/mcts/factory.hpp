@@ -12,12 +12,12 @@
 
 namespace apm {
 
-// Evaluation resources for a search. Exactly one of `evaluator` (CPU
-// inference) or `batch` (accelerator queue) must be set for parallel
-// schemes and serial (which prefer `batch` when both are set); the
-// baselines require `evaluator`. `batch_tag` (>= 0) tags every request this
-// search submits to `batch`, so a shared multi-producer queue can attribute
-// batch occupancy per game slot (MatchService).
+// Evaluation resources for a search. Serial and the tree-parallel drivers
+// run over an EvalPort built from `batch` (accelerator queue) when it is
+// set, else from `evaluator` (CPU inference); the baselines require
+// `evaluator`. `batch_tag` (>= 0) tags every request this search submits to
+// `batch`, so a shared multi-producer queue can attribute batch occupancy
+// per game slot (MatchService).
 struct SearchResources {
   Evaluator* evaluator = nullptr;
   AsyncBatchEvaluator* batch = nullptr;

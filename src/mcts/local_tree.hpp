@@ -17,29 +17,20 @@
 // virtual loss) and processes a completion first — it cannot wait, since
 // it is itself the consumer of completions.
 //
-// Evaluation flavours mirror the shared-tree scheme:
-//  * CPU mode — a dedicated pool of N threads, one evaluation per task.
-//    Each worker times its own evaluate(); the master records the rest of
-//    every request's round trip as hand-off time (SearchMetrics).
-//  * Accelerator mode — an AsyncBatchEvaluator with tunable threshold B
-//    and N/B streams (§3.3); B is chosen by Algorithm 4 at config time.
+// Requests go out through the EvalPort's submit() and come back through
+// poll()/wait() (eval_port.hpp): over a CPU evaluator the port's pool of N
+// worker threads runs one evaluation per task; over the accelerator queue
+// the threshold B and N/B streams are tuned by Algorithm 4 (§3.3).
 
-#include <memory>
-
-#include "eval/async_batch.hpp"
-#include "eval/evaluator.hpp"
 #include "mcts/search.hpp"
-#include "support/thread_pool.hpp"
 
 namespace apm {
 
 class LocalTreeMcts final : public MctsSearch {
  public:
-  // CPU mode: spawns a private pool of `workers` evaluation threads.
-  LocalTreeMcts(MctsConfig cfg, int workers, Evaluator& eval,
-                SearchTree* shared_tree = nullptr);
-  // Accelerator mode: requests go to the batch queue.
-  LocalTreeMcts(MctsConfig cfg, int workers, AsyncBatchEvaluator& batch,
+  // Opens the port for `workers` evaluations in flight (over a CPU
+  // evaluator, a pool of that many threads).
+  LocalTreeMcts(MctsConfig cfg, int workers, EvalPort port,
                 SearchTree* shared_tree = nullptr);
 
   SearchResult search(const Game& env) override;
@@ -47,13 +38,7 @@ class LocalTreeMcts final : public MctsSearch {
   int workers() const override { return workers_; }
 
  private:
-  void evaluate_root(const Game& env);
-
   int workers_;
-  Evaluator* eval_ = nullptr;
-  AsyncBatchEvaluator* batch_ = nullptr;
-  std::unique_ptr<ThreadPool> pool_;  // CPU mode only
-  Rng rng_;
 };
 
 }  // namespace apm

@@ -7,6 +7,10 @@
 // root visit counts ("action prior", Algorithms 2/3) plus per-phase
 // metrics for the profiler and the benches.
 //
+// Evaluation: the Serial, SharedTree and LocalTree drivers evaluate every
+// node through one EvalPort (eval_port.hpp), built from a CPU Evaluator or
+// an AsyncBatchEvaluator; the baselines call their Evaluator directly.
+//
 // Tree ownership: every scheme runs over a SearchTree arena. Standalone
 // construction owns a private arena (the historical behaviour — each
 // search() resets it); the SearchEngine instead passes one long-lived
@@ -20,8 +24,10 @@
 
 #include "games/game.hpp"
 #include "mcts/config.hpp"
+#include "mcts/eval_port.hpp"
 #include "mcts/transposition.hpp"
 #include "mcts/tree.hpp"
+#include "support/timer.hpp"
 
 namespace apm {
 
@@ -47,11 +53,11 @@ class MctsSearch {
   // that cannot reuse a tree (root-parallel grows fresh per-worker trees).
   void set_reuse_next(bool reuse) { reuse_next_ = reuse; }
 
-  // Submitter tag passed with every AsyncBatchEvaluator request, so a
-  // shared multi-producer queue (MatchService) can attribute batch
+  // Submitter tag passed with every batch-queue request (see EvalPort), so
+  // a shared multi-producer queue (MatchService) can attribute batch
   // occupancy to this search's game slot. Negative = untagged (default).
-  void set_batch_tag(int tag) { batch_tag_ = tag; }
-  int batch_tag() const { return batch_tag_; }
+  void set_batch_tag(int tag) { port_.set_tag(tag); }
+  int batch_tag() const { return port_.tag(); }
 
   // Attaches a caller-owned transposition table (nullptr detaches). The
   // TT-aware drivers (Serial/SharedTree/LocalTree) probe it before every
@@ -69,10 +75,12 @@ class MctsSearch {
   bool transposition_shared() const { return tt_shared_; }
 
  protected:
-  explicit MctsSearch(MctsConfig cfg, SearchTree* shared_tree = nullptr)
+  MctsSearch(MctsConfig cfg, EvalPort port, SearchTree* shared_tree = nullptr)
       : cfg_(cfg),
         owned_tree_(shared_tree ? nullptr : std::make_unique<SearchTree>()),
-        tree_(shared_tree ? *shared_tree : *owned_tree_) {}
+        tree_(shared_tree ? *shared_tree : *owned_tree_),
+        port_(std::move(port)),
+        rng_(cfg.seed) {}
 
   // Consumes the reuse flag; true only when the prepared root is actually
   // expanded (otherwise the search must evaluate it from scratch anyway).
@@ -109,42 +117,28 @@ class MctsSearch {
     return reuse;
   }
 
-  // Shared epilogue for drivers running over an AsyncBatchEvaluator: fills
-  // metrics.batch with this move's global-queue delta when this driver is
-  // the sole producer (untagged), or with just its own submission count
-  // when tagged on a shared multi-producer queue — there the global
-  // counters mix in other games' traffic, and ServiceStats attributes
-  // occupancy via the tags instead. `before` is the stats snapshot taken
-  // at the top of the move; `reuse` credits the skipped root evaluation.
-  // Cache hits and coalesced waiters never took a slot, so they are
-  // excluded — batch.submitted stays the unique-position count the fill
-  // histogram is built from, and a coalesced request is not double-counted
-  // against the queue. The root term is approximate by one: root dedupe is
-  // not tracked in SearchMetrics (cache_hits counts leaves only), so a
-  // deduped root still contributes its +1 here.
-  void finish_batch_metrics(const AsyncBatchEvaluator& batch,
-                            const BatchQueueStats& before,
-                            SearchMetrics& metrics, bool reuse) const {
-    if (batch_tag() < 0) {
-      metrics.batch = stats_delta(batch.stats(), before);
-    } else {
-      const std::size_t requests = metrics.eval_requests + (reuse ? 0 : 1);
-      const std::size_t deduped = metrics.cache_hits + metrics.coalesced_evals;
-      metrics.batch.submitted = requests > deduped ? requests - deduped : 0;
-      metrics.batch.cache_hits = metrics.cache_hits;
-      metrics.batch.coalesced = metrics.coalesced_evals;
-    }
-  }
+  // Shared root step of the port-driven drivers, run right after
+  // begin_move() inside the move's timer: opens the port's per-move window,
+  // then claims, evaluates and expands a fresh root (with Dirichlet noise
+  // when configured), or mixes fresh noise into a reused one.
+  void prepare_root(const Game& env, bool reuse);
+
+  // Shared epilogue of the port-driven drivers: closes the port's window
+  // into metrics.batch, stamps the move-level metrics and extracts the
+  // root's visit distribution.
+  SearchResult finish_move(const Game& env, SearchMetrics& metrics,
+                           bool reuse, const Timer& move_timer);
 
   MctsConfig cfg_;
   std::unique_ptr<SearchTree> owned_tree_;
   SearchTree& tree_;
   TranspositionTable* tt_ = nullptr;
   bool tt_shared_ = false;
+  EvalPort port_;
+  Rng rng_;  // root noise
 
  private:
   bool reuse_next_ = false;
-  int batch_tag_ = -1;
 };
 
 }  // namespace apm

@@ -6,46 +6,9 @@
 
 namespace apm {
 
-SerialMcts::SerialMcts(MctsConfig cfg, Evaluator& eval,
+SerialMcts::SerialMcts(MctsConfig cfg, EvalPort port,
                        SearchTree* shared_tree)
-    : MctsSearch(cfg, shared_tree), eval_(&eval), rng_(cfg.seed) {}
-
-SerialMcts::SerialMcts(MctsConfig cfg, AsyncBatchEvaluator& batch,
-                       SearchTree* shared_tree)
-    : MctsSearch(cfg, shared_tree), batch_(&batch), rng_(cfg.seed) {
-  // Leaf requests never flush (see eval_state), so with one in-flight
-  // request a below-threshold batch only ever dispatches via the stale
-  // timer or a concurrent producer. Require the timer — without it this
-  // configuration is a silent deadlock, not a slow path.
-  APM_CHECK_MSG(batch.stale_flush_us() > 0.0,
-                "serial search over a batch queue needs the stale-flush "
-                "timer (a single in-flight request cannot fill a batch)");
-}
-
-void SerialMcts::eval_state(const float* input, std::uint64_t hash,
-                            EvalOutput& out, bool flush_partial,
-                            SearchMetrics* metrics) {
-  if (batch_ != nullptr) {
-    SubmitOutcome how = SubmitOutcome::kQueued;
-    auto fut = batch_->submit_future(input, batch_tag(), hash, &how);
-    if (metrics != nullptr) {
-      if (how == SubmitOutcome::kCacheHit) ++metrics->cache_hits;
-      if (how == SubmitOutcome::kCoalesced) ++metrics->coalesced_evals;
-    }
-    // Leaf requests deliberately do NOT flush: with one in-flight request
-    // per serial game, batches only form across concurrent games sharing
-    // the queue (threshold crossing) or via the stale-flush timer. The
-    // root flush is also suppressed on a tagged (multi-producer) queue —
-    // it would dispatch other games' forming partial batches, and the
-    // stale timer already bounds the root's wait.
-    if (flush_partial && batch_tag() < 0 && how == SubmitOutcome::kQueued) {
-      batch_->flush();
-    }
-    out = fut.get();
-  } else {
-    eval_->evaluate(input, out);
-  }
-}
+    : MctsSearch(cfg, std::move(port), shared_tree) {}
 
 SearchResult SerialMcts::search(const Game& env) {
   SearchMetrics metrics;
@@ -54,29 +17,11 @@ SearchResult SerialMcts::search(const Game& env) {
   metrics.workers = 1;
   Timer move_timer;
 
+  prepare_root(env, reuse);
+
   std::vector<float> input(env.encode_size());
   EvalOutput eval_out;
   TtView tt_scratch;
-
-  BatchQueueStats batch_before;
-  if (batch_ != nullptr) batch_before = batch_->stats();
-
-  if (!reuse) {
-    // Root preparation: claim + evaluate + expand (with optional noise).
-    Node& root = tree_.node(tree_.root());
-    ExpandState expected = ExpandState::kLeaf;
-    const bool claimed = root.state.compare_exchange_strong(
-        expected, ExpandState::kExpanding, std::memory_order_acq_rel);
-    APM_CHECK(claimed);
-    env.encode(input.data());
-    eval_state(input.data(), env.eval_key(), eval_out, /*flush_partial=*/true,
-               nullptr);
-    ops.note_eval(tree_.root(), env.eval_key(), eval_out.value);
-    ops.expand(tree_.root(), env, eval_out.policy,
-               cfg_.root_noise ? &rng_ : nullptr);
-  } else if (cfg_.root_noise) {
-    ops.mix_root_noise(rng_);
-  }
 
   for (int playout = 0; playout < cfg_.num_playouts; ++playout) {
     auto game = env.clone();
@@ -120,9 +65,7 @@ SearchResult SerialMcts::search(const Game& env) {
 
     phase.reset();
     game->encode(input.data());
-    eval_state(input.data(), key, eval_out,
-               /*flush_partial=*/false, &metrics);
-    ++metrics.eval_requests;
+    port_.evaluate(input.data(), key, eval_out, metrics);
     metrics.eval_seconds += phase.elapsed_seconds();
 
     phase.reset();
@@ -141,17 +84,7 @@ SearchResult SerialMcts::search(const Game& env) {
     metrics.backup_seconds += phase.elapsed_seconds();
   }
 
-  metrics.playouts = cfg_.num_playouts;
-  metrics.move_seconds = move_timer.elapsed_seconds();
-  metrics.nodes = tree_.node_count();
-  metrics.edges = tree_.edge_count();
-  if (batch_ != nullptr) {
-    finish_batch_metrics(*batch_, batch_before, metrics, reuse);
-  }
-
-  SearchResult result = extract_result(tree_, env.action_count());
-  result.metrics = metrics;
-  return result;
+  return finish_move(env, metrics, reuse, move_timer);
 }
 
 }  // namespace apm

@@ -3,20 +3,14 @@
 // scheme must agree with, and the baseline of the paper's §2.1 profile
 // ("tree-based search accounts for more than 85% of the total runtime").
 //
-// Two evaluation flavours:
-//  * Synchronous — evaluate() on the calling thread (the historical mode).
-//  * Batch queue — each leaf goes to an AsyncBatchEvaluator and the driver
-//    blocks on the future. Alone this is strictly slower (one in-flight
-//    request can never fill a batch; every eval waits for the stale-flush
-//    timer), which is exactly the single-game starvation the MatchService
-//    fixes: K concurrent serial games share one queue and their single
-//    requests coalesce into cross-game batches. Requires a queue with the
-//    stale-flush timer enabled (or a concurrent producer filling batches);
-//    the search result is identical either way — the scheme stays fully
-//    sequential in-game.
+// Each leaf is evaluated blocking through the EvalPort (eval_port.hpp).
+// Over a batch queue alone this is strictly slower (one in-flight request
+// can never fill a batch; every eval waits for the stale-flush timer),
+// which is exactly the single-game starvation the MatchService fixes: K
+// concurrent serial games share one queue and their single requests
+// coalesce into cross-game batches. The search result is identical either
+// way — the scheme stays fully sequential in-game.
 
-#include "eval/async_batch.hpp"
-#include "eval/evaluator.hpp"
 #include "mcts/search.hpp"
 
 namespace apm {
@@ -25,30 +19,11 @@ class SerialMcts final : public MctsSearch {
  public:
   // `shared_tree` != nullptr runs over an externally owned arena (engine
   // mode, enabling cross-move reuse); nullptr owns a private tree.
-  SerialMcts(MctsConfig cfg, Evaluator& eval,
-             SearchTree* shared_tree = nullptr);
-  // Batch-queue mode (service/multi-producer use; see the header comment).
-  SerialMcts(MctsConfig cfg, AsyncBatchEvaluator& batch,
-             SearchTree* shared_tree = nullptr);
+  SerialMcts(MctsConfig cfg, EvalPort port, SearchTree* shared_tree = nullptr);
 
   SearchResult search(const Game& env) override;
   Scheme scheme() const override { return Scheme::kSerial; }
   int workers() const override { return 1; }
-
- private:
-  // Evaluates one encoded state through whichever resource this driver was
-  // built over; `flush_partial` dispatches the forming batch immediately
-  // (the root evaluation, which nothing else will ever join in-game).
-  // `hash` keys the queue's eval cache / in-flight coalescing; dedupe
-  // outcomes are counted into `metrics` when non-null (leaf evaluations —
-  // the root passes nullptr so cache_hits stays a subset of eval_requests,
-  // which counts leaves only).
-  void eval_state(const float* input, std::uint64_t hash, EvalOutput& out,
-                  bool flush_partial, SearchMetrics* metrics);
-
-  Evaluator* eval_ = nullptr;
-  AsyncBatchEvaluator* batch_ = nullptr;
-  Rng rng_;
 };
 
 }  // namespace apm

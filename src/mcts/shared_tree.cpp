@@ -11,59 +11,15 @@
 
 namespace apm {
 
-SharedTreeMcts::SharedTreeMcts(MctsConfig cfg, int workers, Evaluator& eval,
+SharedTreeMcts::SharedTreeMcts(MctsConfig cfg, int workers, EvalPort port,
                                SearchTree* shared_tree)
-    : MctsSearch(cfg, shared_tree),
-      workers_(workers),
-      eval_(&eval),
-      rng_(cfg.seed) {
+    : MctsSearch(cfg, std::move(port), shared_tree), workers_(workers) {
   APM_CHECK(workers >= 1);
-}
-
-SharedTreeMcts::SharedTreeMcts(MctsConfig cfg, int workers,
-                               AsyncBatchEvaluator& batch,
-                               SearchTree* shared_tree)
-    : MctsSearch(cfg, shared_tree),
-      workers_(workers),
-      batch_(&batch),
-      rng_(cfg.seed) {
-  APM_CHECK(workers >= 1);
-}
-
-void SharedTreeMcts::evaluate_root(const Game& env) {
-  InTreeOps ops(tree_, cfg_);
-  Node& root = tree_.node(tree_.root());
-  ExpandState expected = ExpandState::kLeaf;
-  const bool claimed = root.state.compare_exchange_strong(
-      expected, ExpandState::kExpanding, std::memory_order_acq_rel);
-  APM_CHECK(claimed);
-
-  std::vector<float> input(env.encode_size());
-  env.encode(input.data());
-  EvalOutput out;
-  if (batch_ != nullptr) {
-    SubmitOutcome how = SubmitOutcome::kQueued;
-    auto fut = batch_->submit_future(input.data(), batch_tag(), env.eval_key(),
-                                     &how);
-    // Sole producer: don't wait for a batch that can't fill. On a tagged
-    // multi-producer queue the flush would dispatch other games' forming
-    // batches; the stale timer bounds the root's wait there instead.
-    if (batch_tag() < 0 && how == SubmitOutcome::kQueued) batch_->flush();
-    out = fut.get();
-    // Root dedupe is deliberately NOT counted into SearchMetrics:
-    // eval_requests counts leaf evaluations only, and cache_hits must stay
-    // a subset of it so hit-rate ratios are well-formed. Root hits still
-    // show in the queue- and cache-level counters.
-  } else {
-    eval_->evaluate(input.data(), out);
-  }
-  ops.note_eval(tree_.root(), env.eval_key(), out.value);
-  ops.expand(tree_.root(), env, out.policy, cfg_.root_noise ? &rng_ : nullptr);
 }
 
 void SharedTreeMcts::worker_loop(const Game& env,
                                  std::atomic<int>& playout_counter,
-                                 WorkerStats& stats) {
+                                 SearchMetrics& metrics) {
   InTreeOps ops(tree_, cfg_);
   std::vector<float> input(env.encode_size());
   EvalOutput out;
@@ -94,12 +50,12 @@ void SharedTreeMcts::worker_loop(const Game& env,
       game = env.clone();
       outcome = ops.descend(*game, CollisionPolicy::kWait);
     }
-    stats.select_s += phase.elapsed_seconds();
-    stats.max_depth = std::max(stats.max_depth, outcome.depth);
-    stats.sum_depth += outcome.depth;
+    metrics.select_seconds += phase.elapsed_seconds();
+    metrics.max_depth = std::max(metrics.max_depth, outcome.depth);
+    metrics.sum_depth += outcome.depth;
 
     if (outcome.status == DescendStatus::kTerminal) {
-      ++stats.terminals;
+      ++metrics.terminal_rollouts;
       phase.reset();
       if (coarse) {
         std::lock_guard guard(tree_.coarse_lock());
@@ -107,7 +63,7 @@ void SharedTreeMcts::worker_loop(const Game& env,
       } else {
         ops.backup(outcome.node, game->terminal_value());
       }
-      stats.backup_s += phase.elapsed_seconds();
+      metrics.backup_seconds += phase.elapsed_seconds();
       continue;
     }
 
@@ -115,7 +71,7 @@ void SharedTreeMcts::worker_loop(const Game& env,
     bool announced = false;
     if (tt_ != nullptr) {
       phase.reset();
-      ++stats.tt_probes;
+      ++metrics.tt_probes;
       float tt_value = 0.0f;
       TtProbeResult tr;
       if (coarse) {
@@ -144,8 +100,8 @@ void SharedTreeMcts::worker_loop(const Game& env,
                                 &tt_value, &announced);
       }
       if (tr == TtProbeResult::kHit) {
-        ++stats.tt_grafts;
-        stats.expand_s += phase.elapsed_seconds();
+        ++metrics.tt_grafts;
+        metrics.expand_seconds += phase.elapsed_seconds();
         phase.reset();
         if (coarse) {
           std::lock_guard guard(tree_.coarse_lock());
@@ -153,25 +109,17 @@ void SharedTreeMcts::worker_loop(const Game& env,
         } else {
           ops.backup(outcome.node, tt_value);
         }
-        stats.backup_s += phase.elapsed_seconds();
+        metrics.backup_seconds += phase.elapsed_seconds();
         continue;
       }
-      if (tr == TtProbeResult::kPending) ++stats.tt_pending;
-      stats.expand_s += phase.elapsed_seconds();
+      if (tr == TtProbeResult::kPending) ++metrics.tt_pending;
+      metrics.expand_seconds += phase.elapsed_seconds();
     }
 
     phase.reset();
     game->encode(input.data());
-    if (batch_ != nullptr) {
-      SubmitOutcome how = SubmitOutcome::kQueued;
-      out = batch_->submit_future(input.data(), batch_tag(), key, &how).get();
-      if (how == SubmitOutcome::kCacheHit) ++stats.cache_hits;
-      if (how == SubmitOutcome::kCoalesced) ++stats.coalesced;
-    } else {
-      eval_->evaluate(input.data(), out);
-    }
-    ++stats.evals;
-    stats.eval_s += phase.elapsed_seconds();
+    port_.evaluate(input.data(), key, out, metrics);
+    metrics.eval_seconds += phase.elapsed_seconds();
 
     phase.reset();
     if (coarse) {
@@ -181,9 +129,9 @@ void SharedTreeMcts::worker_loop(const Game& env,
       if (tt_ != nullptr) {
         tt_store_expansion(tt_, tree_, outcome.node, key, out.value,
                            outcome.depth, announced);
-        ++stats.tt_stores;
+        ++metrics.tt_stores;
       }
-      stats.expand_s += phase.elapsed_seconds();
+      metrics.expand_seconds += phase.elapsed_seconds();
       phase.reset();
       ops.backup(outcome.node, out.value);
     } else {
@@ -194,14 +142,14 @@ void SharedTreeMcts::worker_loop(const Game& env,
         // tree locks and serialises on its bucket lock.
         tt_store_expansion(tt_, tree_, outcome.node, key, out.value,
                            outcome.depth, announced);
-        ++stats.tt_stores;
+        ++metrics.tt_stores;
       }
-      stats.expand_s += phase.elapsed_seconds();
+      metrics.expand_seconds += phase.elapsed_seconds();
       phase.reset();
       ops.backup(outcome.node, out.value);
     }
-    ++stats.expansions;
-    stats.backup_s += phase.elapsed_seconds();
+    ++metrics.expansions;
+    metrics.backup_seconds += phase.elapsed_seconds();
   }
 }
 
@@ -211,62 +159,22 @@ SearchResult SharedTreeMcts::search(const Game& env) {
   metrics.workers = workers_;
   Timer move_timer;
 
-  BatchQueueStats batch_before;
-  if (batch_ != nullptr) batch_before = batch_->stats();
-
-  if (!reuse) {
-    evaluate_root(env);
-  } else if (cfg_.root_noise) {
-    InTreeOps ops(tree_, cfg_);
-    ops.mix_root_noise(rng_);
-  }
+  prepare_root(env, reuse);
 
   std::atomic<int> playout_counter{0};
-  std::vector<WorkerStats> stats(static_cast<std::size_t>(workers_));
+  std::vector<SearchMetrics> parts(static_cast<std::size_t>(workers_));
   {
     std::vector<std::jthread> threads;
     threads.reserve(static_cast<std::size_t>(workers_));
     for (int w = 0; w < workers_; ++w) {
-      threads.emplace_back([this, &env, &playout_counter, &stats, w] {
-        worker_loop(env, playout_counter, stats[w]);
+      threads.emplace_back([this, &env, &playout_counter, &parts, w] {
+        worker_loop(env, playout_counter, parts[w]);
       });
     }
   }  // joins
 
-  for (const WorkerStats& s : stats) {
-    metrics.select_seconds += s.select_s;
-    metrics.eval_seconds += s.eval_s;
-    metrics.expand_seconds += s.expand_s;
-    metrics.backup_seconds += s.backup_s;
-    metrics.max_depth = std::max(metrics.max_depth, s.max_depth);
-    metrics.sum_depth += s.sum_depth;
-    metrics.terminal_rollouts += s.terminals;
-    metrics.eval_requests += s.evals;
-    metrics.cache_hits += s.cache_hits;
-    metrics.coalesced_evals += s.coalesced;
-    metrics.expansions += s.expansions;
-    metrics.tt_probes += s.tt_probes;
-    metrics.tt_grafts += s.tt_grafts;
-    metrics.tt_pending += s.tt_pending;
-    metrics.tt_stores += s.tt_stores;
-  }
-  if (batch_ != nullptr) {
-    // Sole producer: settle the queue before reading the delta. On a
-    // tagged multi-producer queue drain() would stall on other games'
-    // traffic — and is unnecessary, since our workers block on their own
-    // futures, so nothing of ours is still in flight here.
-    if (batch_tag() < 0) batch_->drain();
-    finish_batch_metrics(*batch_, batch_before, metrics, reuse);
-  }
-
-  metrics.playouts = cfg_.num_playouts;
-  metrics.move_seconds = move_timer.elapsed_seconds();
-  metrics.nodes = tree_.node_count();
-  metrics.edges = tree_.edge_count();
-
-  SearchResult result = extract_result(tree_, env.action_count());
-  result.metrics = metrics;
-  return result;
+  for (const SearchMetrics& part : parts) metrics.accumulate(part);
+  return finish_move(env, metrics, reuse, move_timer);
 }
 
 }  // namespace apm

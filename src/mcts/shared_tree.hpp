@@ -8,28 +8,17 @@
 // phases (LockMode::kCoarse — the original lock-everything variant [2],
 // kept for the ablation bench).
 //
-// Evaluation flavours:
-//  * CPU mode — each worker calls the Evaluator on its own thread
-//    ("each worker is assigned a separate CPU thread for performing one
-//     node evaluation", §5.3).
-//  * Accelerator mode — workers submit to an AsyncBatchEvaluator and block
-//    on the future; the queue's threshold is set to N by the caller, since
-//    "the communication batch size is always set to the number of threads"
-//    for the shared-tree method (§3.3).
+// Each worker evaluates its leaves blocking through the EvalPort
+// (eval_port.hpp), on its own thread over a CPU evaluator or through the
+// batch queue, whose threshold the caller sets to N (§3.3).
 
-#include "eval/async_batch.hpp"
-#include "eval/evaluator.hpp"
 #include "mcts/search.hpp"
 
 namespace apm {
 
 class SharedTreeMcts final : public MctsSearch {
  public:
-  // CPU mode.
-  SharedTreeMcts(MctsConfig cfg, int workers, Evaluator& eval,
-                 SearchTree* shared_tree = nullptr);
-  // Accelerator mode (batch queue threshold should equal `workers`).
-  SharedTreeMcts(MctsConfig cfg, int workers, AsyncBatchEvaluator& batch,
+  SharedTreeMcts(MctsConfig cfg, int workers, EvalPort port,
                  SearchTree* shared_tree = nullptr);
 
   SearchResult search(const Game& env) override;
@@ -37,29 +26,11 @@ class SharedTreeMcts final : public MctsSearch {
   int workers() const override { return workers_; }
 
  private:
-  struct WorkerStats {
-    double select_s = 0, eval_s = 0, expand_s = 0, backup_s = 0;
-    int max_depth = 0;
-    double sum_depth = 0;
-    std::size_t terminals = 0;
-    std::size_t evals = 0;
-    std::size_t cache_hits = 0;
-    std::size_t coalesced = 0;
-    std::size_t expansions = 0;
-    std::size_t tt_probes = 0;
-    std::size_t tt_grafts = 0;
-    std::size_t tt_pending = 0;
-    std::size_t tt_stores = 0;
-  };
-
+  // One worker's rollouts; its phase times and counters go to `metrics`.
   void worker_loop(const Game& env, std::atomic<int>& playout_counter,
-                   WorkerStats& stats);
-  void evaluate_root(const Game& env);
+                   SearchMetrics& metrics);
 
   int workers_;
-  Evaluator* eval_ = nullptr;
-  AsyncBatchEvaluator* batch_ = nullptr;
-  Rng rng_;
 };
 
 }  // namespace apm

@@ -197,10 +197,6 @@ EdgeId SearchTree::allocate_edges_in(Arena& a, std::int32_t n) {
   }
 }
 
-std::size_t SearchTree::memory_bytes() const {
-  return node_count() * sizeof(Node) + edge_count() * sizeof(Edge);
-}
-
 void SearchTree::ensure_node_chunk(Arena& a, std::size_t chunk_idx) {
   if (a.node_dir[chunk_idx].load(std::memory_order_acquire) != nullptr) return;
   std::lock_guard grow_guard(grow_lock_);

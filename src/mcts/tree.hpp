@@ -180,7 +180,14 @@ class SearchTree {
   }
 
   // Approximate resident bytes (for the cache-fit analysis of Eq. 5).
-  std::size_t memory_bytes() const;
+  std::size_t memory_bytes() const {
+    return footprint_bytes(node_count(), edge_count());
+  }
+  // The one footprint formula: the design-time profiler and the adaptive
+  // controller's measured moves both size a tree with it.
+  static std::size_t footprint_bytes(std::size_t nodes, std::size_t edges) {
+    return nodes * sizeof(Node) + edges * sizeof(Edge);
+  }
 
   // Coarse-lock mode: one lock for the whole tree (Algorithm 2 verbatim).
   SpinLock& coarse_lock() { return coarse_lock_; }

@@ -137,7 +137,7 @@ ProfiledCosts AdaptiveController::costs_from_metrics(
   sample.mean_depth = std::max(1.0, metrics.mean_depth());
   sample.t_shared_access_us = hw.ddr_access_us * sample.mean_depth;
   sample.tree_bytes =
-      metrics.nodes * sizeof(Node) + metrics.edges * sizeof(Edge);
+      SearchTree::footprint_bytes(metrics.nodes, metrics.edges);
   return sample;
 }
 

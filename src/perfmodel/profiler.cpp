@@ -44,7 +44,7 @@ ProfiledCosts profile_intree_costs(const AlgoSpec& algo,
   costs.mean_depth = std::max(1.0, m.max_depth / 2.0);
   // Each level of a shared-tree descent touches DDR-resident node state.
   costs.t_shared_access_us = hw.ddr_access_us * costs.mean_depth;
-  costs.tree_bytes = m.nodes * 64 + m.edges * 24;
+  costs.tree_bytes = SearchTree::footprint_bytes(m.nodes, m.edges);
   return costs;
 }
 

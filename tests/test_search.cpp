@@ -111,20 +111,56 @@ TEST(SerialMcts, DeterministicAcrossRuns) {
   EXPECT_EQ(r1.action_prior, r2.action_prior);
 }
 
+// `eval` behind a threshold-1 batch queue with the stale-flush timer on. A
+// driver must search exactly the same tree over the queue as over the bare
+// evaluator: the EvalPort changes where an evaluation runs, not its result.
+struct QueuedEvaluator {
+  explicit QueuedEvaluator(Evaluator& eval) : backend(eval, GpuTimingModel{}) {}
+  SimGpuBackend backend;
+  AsyncBatchEvaluator batch{backend, /*batch_threshold=*/1, /*num_streams=*/1,
+                            /*stale_flush_us=*/300.0};
+};
+
 TEST(SharedTreeMcts, OneWorkerMatchesSerial) {
   Gomoku g(5, 4);
   SyntheticEvaluator eval(g.action_count(), g.encode_size());
   SerialMcts serial(quick_config(200), eval);
+  const std::vector<float> expected = serial.search(g).action_prior;
   SharedTreeMcts shared(quick_config(200), 1, eval);
-  EXPECT_EQ(serial.search(g).action_prior, shared.search(g).action_prior);
+  EXPECT_EQ(expected, shared.search(g).action_prior);
+  QueuedEvaluator queued(eval);
+  SharedTreeMcts shared_queued(quick_config(200), 1, queued.batch);
+  EXPECT_EQ(expected, shared_queued.search(g).action_prior);
 }
 
 TEST(LocalTreeMcts, OneWorkerMatchesSerial) {
   Gomoku g(5, 4);
   SyntheticEvaluator eval(g.action_count(), g.encode_size());
   SerialMcts serial(quick_config(200), eval);
+  const std::vector<float> expected = serial.search(g).action_prior;
   LocalTreeMcts local(quick_config(200), 1, eval);
-  EXPECT_EQ(serial.search(g).action_prior, local.search(g).action_prior);
+  EXPECT_EQ(expected, local.search(g).action_prior);
+  QueuedEvaluator queued(eval);
+  LocalTreeMcts local_queued(quick_config(200), 1, queued.batch);
+  EXPECT_EQ(expected, local_queued.search(g).action_prior);
+}
+
+TEST(SharedTreeMcts, BatchQueueNeedsStaleFlushTimer) {
+  // 163 leaves over a threshold-8 queue end the move on a partial batch.
+  // Every worker blocks on its own request and a leaf never flushes, so
+  // without the timer nothing would ever dispatch it.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Gomoku g(5, 4);
+  SyntheticEvaluator eval(g.action_count(), g.encode_size());
+  SimGpuBackend backend(eval, GpuTimingModel{});
+  EXPECT_DEATH(
+      {
+        AsyncBatchEvaluator batch(backend, /*batch_threshold=*/8,
+                                  /*num_streams=*/1, /*stale_flush_us=*/0.0);
+        SharedTreeMcts search(quick_config(163), 8, batch);
+        search.search(g);
+      },
+      "needs the stale-flush timer");
 }
 
 class ParallelInvariants
