@@ -42,8 +42,8 @@ double CpuBackend::compute_batch(const float* inputs, int n,
   eval_.evaluate_batch(inputs, n, outs);
   const double us = timer.elapsed_us();
   if (n >= 1) {
-    // Track the best observed per-sample cost: with the batched im2col +
-    // blocked-GEMM path, larger batches amortise packing and epilogues, so
+    // Track the best observed per-sample cost: with the implicit-GEMM
+    // conv path, larger batches amortise packing and epilogues, so
     // the first (often batch-1) observation badly overestimates steady-state
     // batched throughput. CAS-min: concurrent stream threads race here.
     const double per = us / n;

@@ -1,10 +1,6 @@
 #include "nn/conv2d.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <cstring>
-
-#include "tensor/ops.hpp"
 
 namespace apm {
 
@@ -25,92 +21,37 @@ void Conv2d::init(Rng& rng) {
   b_.mutable_value().zero();
 }
 
-void conv_forward_chunked(
-    const Tensor& x, Tensor& y, ConvWorkspace& ws, int in_channels,
-    int out_channels, int ksize, int pad, Tensor* col_cache,
-    const std::function<void(const float* col, int cols, float* out)>&
-        gemm_chunk) {
+const ConvPlan& ConvWorkspace::plan(int height, int width, int ksize) {
+  for (const ConvPlan& p : plans) {
+    if (p.height == height && p.width == width && p.ksize == ksize) return p;
+  }
+  build_conv_plan(height, width, ksize, plans.emplace_back());
+  return plans.back();
+}
+
+ConvInput conv_input(const Tensor& x, Tensor& y, ConvWorkspace& ws,
+                     int in_channels, int out_channels, int ksize) {
   APM_CHECK(x.rank() == 4 && x.dim(1) == in_channels);
   const int batch = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const int hw = h * w;
-  const int kk = in_channels * ksize * ksize;
   y.resize({batch, out_channels, h, w});
-  if (col_cache != nullptr) col_cache->resize({batch, kk, hw});
-
-  // Cache-resident sub-batching: lower at most `chunk` samples at a time so
-  // the col buffer plus the pre-permute GEMM output stay within the
-  // workspace budget. Splitting the GEMM's N dimension keeps the per-element
-  // K-accumulation order intact, so chunked output is bitwise identical to
-  // the monolithic pass.
-  const std::size_t budget = ws.col_budget_bytes != 0
-                                 ? ws.col_budget_bytes
-                                 : ConvWorkspace::kDefaultColBudgetBytes;
-  const std::size_t bytes_per_sample =
-      static_cast<std::size_t>(kk + out_channels) * hw * sizeof(float);
-  const int chunk = std::clamp(
-      static_cast<int>(budget / std::max<std::size_t>(1, bytes_per_sample)),
-      1, batch);
-
-  ws.col.resize({kk, chunk * hw});
-  if (chunk > 1) ws.ybuf.resize({out_channels, chunk * hw});
-  const std::size_t x_stride = static_cast<std::size_t>(in_channels) * hw;
-  const std::size_t y_stride = static_cast<std::size_t>(out_channels) * hw;
-  for (int b0 = 0; b0 < batch; b0 += chunk) {
-    const int bs = std::min(chunk, batch - b0);
-    // A 1x1 kernel lowers one sample to the sample itself: no copy.
-    const float* col = ws.col.data();
-    if (ksize == 1 && pad == 0 && bs == 1) {
-      col = x.data() + b0 * x_stride;
-    } else {
-      im2col_batched(x.data() + b0 * x_stride, bs, in_channels, h, w, ksize,
-                     pad, ws.col.data());
-    }
-    if (col_cache != nullptr) {
-      // Backward consumes per-sample columns [B, kk, HW]; slice them out of
-      // the chunk-major buffer (row r of chunk-sample b is col[r] + b*HW).
-      for (int b = 0; b < bs; ++b) {
-        float* dst = col_cache->data() +
-                     static_cast<std::size_t>(b0 + b) * kk * hw;
-        for (int r = 0; r < kk; ++r) {
-          std::memcpy(dst + static_cast<std::size_t>(r) * hw,
-                      col + (static_cast<std::size_t>(r) * bs + b) * hw,
-                      static_cast<std::size_t>(hw) * sizeof(float));
-        }
-      }
-    }
-
-    if (bs == 1) {
-      // y_b[Cout, HW] = W[Cout, kk] * col[kk, HW] + b, fused epilogue —
-      // channel-major output IS the sample's layout, no permute needed.
-      gemm_chunk(col, hw, y.data() + b0 * y_stride);
-      continue;
-    }
-    // ybuf[Cout, bs*HW] = W[Cout, kk] * col[kk, bs*HW] + b, then permute
-    // the channel-major GEMM output back to [bs, Cout, HW]. The permute is
-    // one contiguous HW-row copy per (b, oc) — negligible next to the 2·kk
-    // FLOPs/element GEMM it amortises.
-    gemm_chunk(col, bs * hw, ws.ybuf.data());
-    for (int b = 0; b < bs; ++b) {
-      float* yb = y.data() + (b0 + b) * y_stride;
-      for (int oc = 0; oc < out_channels; ++oc) {
-        std::memcpy(yb + static_cast<std::size_t>(oc) * hw,
-                    ws.ybuf.data() +
-                        (static_cast<std::size_t>(oc) * bs + b) * hw,
-                    static_cast<std::size_t>(hw) * sizeof(float));
-      }
-    }
-  }
+  return {x.data(), batch, in_channels, &ws.plan(h, w, ksize)};
 }
 
 void Conv2d::forward(const Tensor& x, Tensor& y, ConvWorkspace& ws,
                      Tensor* col_cache, bool fuse_relu) const {
-  const PackedWeights& w = w_pack_.get(w_, WeightRole::kA);
-  conv_forward_chunked(
-      x, y, ws, in_channels_, out_channels_, ksize_, pad_, col_cache,
-      [&](const float* col, int cols, float* out) {
-        gemm_packed_bias_relu(w, col, b_.value().data(), out, cols,
-                              fuse_relu);
-      });
+  const ConvInput in = conv_input(x, y, ws, in_channels_, out_channels_,
+                                  ksize_);
+  conv_packed_bias_relu(w_pack_.get(w_, WeightRole::kA), in,
+                        b_.value().data(), y.data(), fuse_relu);
+  if (col_cache == nullptr) return;
+  const int hw = x.dim(2) * x.dim(3);
+  const int kk = in_channels_ * ksize_ * ksize_;
+  col_cache->resize({in.batch, kk, hw});
+  for (int b = 0; b < in.batch; ++b) {
+    im2col(x.data() + static_cast<std::size_t>(b) * in_channels_ * hw,
+           in_channels_, x.dim(2), x.dim(3), ksize_, pad_,
+           col_cache->data() + static_cast<std::size_t>(b) * kk * hw);
+  }
 }
 
 void Conv2d::backward(const Tensor& dy, const Tensor& col_cache, Tensor& dx,

@@ -1,11 +1,13 @@
 #pragma once
-// Stride-1, same-padding 2-D convolution via whole-batch im2col + one GEMM.
+// Stride-1, same-padding 2-D convolution as an implicit GEMM.
 //
-// forward() lowers the entire batch at once (col buffer [Cin*k*k, B*H*W])
-// and runs a single large GEMM per layer instead of B tiny ones, with the
-// bias broadcast and optional ReLU fused into the GEMM store epilogue. All
-// scratch lives in a caller-owned ConvWorkspace so the inference hot path
-// allocates nothing once the workspace is warm.
+// forward() runs the whole batch as one GEMM per layer
+// (conv_packed_bias_relu): the GEMM's B panels are gathered straight from
+// x[B, Cin, H, W] and its tiles stored straight into y[B, Cout, H, W], with
+// the bias broadcast and optional ReLU fused into the store epilogue — no
+// lowered column buffer, no output permute. The gather's lane masks live
+// in a caller-owned ConvWorkspace, built once per input shape, so the
+// inference hot path allocates nothing once the workspace is warm.
 //
 // Thread-safety contract: forward() is const and reads only the weights, so
 // any number of inference threads may call it concurrently as long as each
@@ -17,42 +19,29 @@
 // single-threaded by design, matching the paper's separate "DNN training
 // stage").
 
-#include <functional>
 #include <vector>
 
 #include "nn/param.hpp"
+#include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 
 namespace apm {
 
-// Reusable scratch for conv forward: the batched im2col buffer and the
-// pre-permute GEMM output. One per inference thread, shared by all layers.
-//
-// col_budget_bytes bounds the resident scratch (col chunk + ybuf chunk):
-// very large batches are lowered in cache-resident sub-batches instead of
-// one monolithic col buffer (conv3 at B=128 on the paper net is a ≈66 MB
-// col — far off the cache cliff). 0 selects kDefaultColBudgetBytes.
+// Reusable scratch for conv forward: the gather plans of the input shapes
+// seen so far (a net's 3x3 trunk and 1x1 heads keep one each). One per
+// inference thread, shared by all layers.
 struct ConvWorkspace {
-  static constexpr std::size_t kDefaultColBudgetBytes = 4u << 20;
+  std::vector<ConvPlan> plans;
 
-  Tensor col;   // [Cin*k*k, chunk*H*W]
-  Tensor ybuf;  // [Cout, chunk*H*W] (GEMM output before the B-major permute)
-  std::size_t col_budget_bytes = 0;  // 0 = kDefaultColBudgetBytes
+  // The plan for an H×W input under a ksize×ksize kernel, built on first use.
+  const ConvPlan& plan(int height, int width, int ksize);
 };
 
-// Shared driver for the chunked whole-batch im2col forward pass, used by
-// Conv2d and QuantizedConv2d so both precisions run the identical lowering,
-// sub-batching and output-permute logic and differ only in the GEMM they
-// invoke. Lowers x[B, Cin, H, W] in cache-resident sub-batches and calls
-// gemm_chunk(col, cols, out) per chunk, where col is [Cin*k*k, cols],
-// cols = bs*H*W, and out is a [Cout, cols] destination — either y directly
-// (single-sample chunk, channel-major output needs no permute) or ws.ybuf,
-// which the driver then permutes back to [bs, Cout, HW].
-void conv_forward_chunked(
-    const Tensor& x, Tensor& y, ConvWorkspace& ws, int in_channels,
-    int out_channels, int ksize, int pad, Tensor* col_cache,
-    const std::function<void(const float* col, int cols, float* out)>&
-        gemm_chunk);
+// Checks x against a conv layer's input channels, sizes y to
+// [B, out_channels, H, W] and returns x as the implicit GEMM's B operand.
+// Shared by Conv2d and QuantizedConv2d, which differ only in the GEMM.
+ConvInput conv_input(const Tensor& x, Tensor& y, ConvWorkspace& ws,
+                     int in_channels, int out_channels, int ksize);
 
 class Conv2d {
  public:
@@ -63,8 +52,9 @@ class Conv2d {
   void init(Rng& rng);
 
   // x: [B, Cin, H, W] -> y: [B, Cout, H, W] (ReLU'd when fuse_relu).
-  // ws: caller-owned scratch. When col_cache != nullptr it receives the
-  // per-image columns (needed by backward), laid out as [B, Cin*k*k, H*W].
+  // ws: caller-owned scratch. When col_cache != nullptr it also receives
+  // the per-image im2col columns backward needs, laid out as
+  // [B, Cin*k*k, H*W]; y never reads them.
   void forward(const Tensor& x, Tensor& y, ConvWorkspace& ws,
                Tensor* col_cache = nullptr, bool fuse_relu = false) const;
 

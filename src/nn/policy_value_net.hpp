@@ -74,7 +74,7 @@ struct Activations {
   Tensor t1, t1r, t2, t2r, t3, t3r;      // trunk pre/post ReLU
   Tensor p0, p0r, p_logits, p_logp;      // policy head
   Tensor v0, v0r, v1, v1r, v2, value;    // value head
-  ConvWorkspace conv_ws;                 // shared im2col + GEMM-out scratch
+  ConvWorkspace conv_ws;                 // conv gather plans, per shape
   // caches kept only when training (forward(train=true)):
   Tensor col1, col2, col3, colp, colv;
   // backward scratch:

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <utility>
 
+#include "nn/serialize.hpp"
 #include "support/check.hpp"
 #include "tensor/ops.hpp"
 
@@ -28,7 +29,6 @@ QuantizedConv2d::QuantizedConv2d(const Conv2d& src)
     : in_channels_(src.in_channels()),
       out_channels_(src.out_channels()),
       ksize_(src.ksize()),
-      pad_(src.ksize() / 2),
       wq_(src.weight().value().numel()),
       wscale_(static_cast<std::size_t>(src.out_channels())),
       bias_(tensor_to_vec(src.bias().value())) {
@@ -46,7 +46,6 @@ QuantizedConv2d::QuantizedConv2d(int in_channels, int out_channels, int ksize,
     : in_channels_(in_channels),
       out_channels_(out_channels),
       ksize_(ksize),
-      pad_(ksize / 2),
       wq_(std::move(wq)),
       wscale_(std::move(wscale)),
       bias_(std::move(bias)) {
@@ -61,12 +60,9 @@ QuantizedConv2d::QuantizedConv2d(int in_channels, int out_channels, int ksize,
 
 void QuantizedConv2d::forward(const Tensor& x, Tensor& y, ConvWorkspace& ws,
                               bool fuse_relu) const {
-  conv_forward_chunked(
-      x, y, ws, in_channels_, out_channels_, ksize_, pad_,
-      /*col_cache=*/nullptr, [&](const float* col, int cols, float* out) {
-        gemm_q8_packed_bias_relu(packed_, col, bias_.data(), out, cols,
-                                 fuse_relu);
-      });
+  const ConvInput in = conv_input(x, y, ws, in_channels_, out_channels_,
+                                  ksize_);
+  conv_q8_packed_bias_relu(packed_, in, bias_.data(), y.data(), fuse_relu);
 }
 
 QuantizedLinear::QuantizedLinear(const Linear& src)
@@ -286,37 +282,13 @@ Linear read_flin(std::istream& in, const char* name, int in_f, int out_f) {
   return l;
 }
 
-void write_config(std::ostream& out, const NetConfig& cfg) {
-  for (int v : {cfg.in_channels, cfg.height, cfg.width, cfg.trunk1,
-                cfg.trunk2, cfg.trunk3, cfg.policy_channels,
-                cfg.value_channels, cfg.value_hidden,
-                cfg.action_override}) {
-    write_pod<std::int32_t>(out, v);
-  }
-}
-
-NetConfig read_config(std::istream& in) {
-  NetConfig cfg;
-  cfg.in_channels = read_pod<std::int32_t>(in);
-  cfg.height = read_pod<std::int32_t>(in);
-  cfg.width = read_pod<std::int32_t>(in);
-  cfg.trunk1 = read_pod<std::int32_t>(in);
-  cfg.trunk2 = read_pod<std::int32_t>(in);
-  cfg.trunk3 = read_pod<std::int32_t>(in);
-  cfg.policy_channels = read_pod<std::int32_t>(in);
-  cfg.value_channels = read_pod<std::int32_t>(in);
-  cfg.value_hidden = read_pod<std::int32_t>(in);
-  cfg.action_override = read_pod<std::int32_t>(in);
-  return cfg;
-}
-
 }  // namespace
 
 void save_quantized_net(const QuantizedPolicyValueNet& net,
                         std::ostream& out) {
   out.write(kQMagic, sizeof kQMagic);
   write_pod(out, kQVersion);
-  write_config(out, net.config());
+  write_net_config(out, net.config());
   const QuantizeSpec& spec = net.spec();
   write_pod<std::uint8_t>(out, spec.policy_head_int8 ? 1 : 0);
   write_pod<std::uint8_t>(out, spec.value_head_int8 ? 1 : 0);
@@ -359,7 +331,7 @@ QuantizedPolicyValueNet load_quantized_net(std::istream& in) {
   const auto version = read_pod<std::uint32_t>(in);
   APM_CHECK_MSG(version == kQVersion,
                 "unsupported quantized checkpoint version");
-  const NetConfig cfg = read_config(in);
+  const NetConfig cfg = read_net_config(in);
   QuantizeSpec spec;
   spec.policy_head_int8 = read_pod<std::uint8_t>(in) != 0;
   spec.value_head_int8 = read_pod<std::uint8_t>(in) != 0;

@@ -45,8 +45,8 @@ struct QuantizeSpec {
 };
 
 // Inference-only conv with per-output-channel int8 weights. Runs the same
-// chunked im2col driver as Conv2d (conv_forward_chunked), so the only
-// difference in the pipeline is the GEMM kernel.
+// implicit-GEMM gather and store as Conv2d (conv_input, one ConvPlan per
+// shape), so the only difference in the pipeline is the GEMM kernel.
 class QuantizedConv2d {
  public:
   explicit QuantizedConv2d(const Conv2d& src);
@@ -72,7 +72,6 @@ class QuantizedConv2d {
   int in_channels_;
   int out_channels_;
   int ksize_;
-  int pad_;
   std::vector<std::int8_t> wq_;  // [Cout, Cin*k*k]
   std::vector<float> wscale_;    // [Cout]
   std::vector<float> bias_;      // [Cout]

@@ -1,8 +1,10 @@
 #include "nn/serialize.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <limits>
 
 #include "support/check.hpp"
 
@@ -27,29 +29,47 @@ T read_pod(std::istream& in) {
   return value;
 }
 
-void write_config(std::ostream& out, const NetConfig& cfg) {
-  for (int v : {cfg.in_channels, cfg.height, cfg.width, cfg.trunk1,
-                cfg.trunk2, cfg.trunk3, cfg.policy_channels,
-                cfg.value_channels, cfg.value_hidden,
-                cfg.action_override}) {
-    write_pod<std::int32_t>(out, v);
-  }
+// Aborts with `what` unless lo <= v <= kMaxField.
+constexpr std::int64_t kMaxField = 1 << 16;
+void check_field(std::int64_t v, std::int64_t lo, const char* what) {
+  APM_CHECK_MSG(v >= lo && v <= kMaxField, what);
 }
 
-NetConfig read_config(std::istream& in, std::uint32_t version) {
-  NetConfig cfg;
-  cfg.in_channels = read_pod<std::int32_t>(in);
-  cfg.height = read_pod<std::int32_t>(in);
-  cfg.width = read_pod<std::int32_t>(in);
-  cfg.trunk1 = read_pod<std::int32_t>(in);
-  cfg.trunk2 = read_pod<std::int32_t>(in);
-  cfg.trunk3 = read_pod<std::int32_t>(in);
-  cfg.policy_channels = read_pod<std::int32_t>(in);
-  cfg.value_channels = read_pod<std::int32_t>(in);
-  cfg.value_hidden = read_pod<std::int32_t>(in);
-  cfg.action_override =
-      version >= 2 ? read_pod<std::int32_t>(in) : 0;
-  return cfg;
+// Aborts with `what` unless a layer size fits in int. Every factor is at
+// most kMaxField and every product below is formed from factors already
+// checked, so none overflows int64.
+void check_size(std::int64_t v, const char* what) {
+  APM_CHECK_MSG(v <= std::numeric_limits<int>::max(), what);
+}
+
+void check_net_config(const NetConfig& cfg) {
+  check_field(cfg.in_channels, 1, "checkpoint in_channels out of range");
+  check_field(cfg.height, 1, "checkpoint height out of range");
+  check_field(cfg.width, 1, "checkpoint width out of range");
+  check_field(cfg.trunk1, 1, "checkpoint trunk1 out of range");
+  check_field(cfg.trunk2, 1, "checkpoint trunk2 out of range");
+  check_field(cfg.trunk3, 1, "checkpoint trunk3 out of range");
+  check_field(cfg.policy_channels, 1,
+              "checkpoint policy_channels out of range");
+  check_field(cfg.value_channels, 1, "checkpoint value_channels out of range");
+  check_field(cfg.value_hidden, 1, "checkpoint value_hidden out of range");
+  check_field(cfg.action_override, 0,
+              "checkpoint action_override out of range");
+
+  const std::int64_t hw = std::int64_t{cfg.height} * cfg.width;
+  check_size(hw, "checkpoint height*width overflows int");
+  const std::int64_t channels =
+      std::max({cfg.in_channels, cfg.trunk1, cfg.trunk2, cfg.trunk3,
+                cfg.policy_channels, cfg.value_channels});
+  check_size(channels * hw, "checkpoint activation size overflows int");
+  const std::int64_t trunk = std::max({cfg.trunk1, cfg.trunk2, cfg.trunk3});
+  check_size(channels * trunk * 9, "checkpoint conv weight size overflows int");
+  const std::int64_t actions =
+      cfg.action_override > 0 ? cfg.action_override : hw;
+  check_size(cfg.policy_channels * hw * actions,
+             "checkpoint fc_p weight size overflows int");
+  check_size(cfg.value_channels * hw * cfg.value_hidden,
+             "checkpoint fc_v1 weight size overflows int");
 }
 
 // Reads and checks the magic and version; returns the version.
@@ -66,10 +86,35 @@ std::uint32_t read_header(std::istream& in) {
 
 }  // namespace
 
+void write_net_config(std::ostream& out, const NetConfig& cfg) {
+  for (int v : {cfg.in_channels, cfg.height, cfg.width, cfg.trunk1,
+                cfg.trunk2, cfg.trunk3, cfg.policy_channels,
+                cfg.value_channels, cfg.value_hidden,
+                cfg.action_override}) {
+    write_pod<std::int32_t>(out, v);
+  }
+}
+
+NetConfig read_net_config(std::istream& in, bool has_action_override) {
+  NetConfig cfg;
+  cfg.in_channels = read_pod<std::int32_t>(in);
+  cfg.height = read_pod<std::int32_t>(in);
+  cfg.width = read_pod<std::int32_t>(in);
+  cfg.trunk1 = read_pod<std::int32_t>(in);
+  cfg.trunk2 = read_pod<std::int32_t>(in);
+  cfg.trunk3 = read_pod<std::int32_t>(in);
+  cfg.policy_channels = read_pod<std::int32_t>(in);
+  cfg.value_channels = read_pod<std::int32_t>(in);
+  cfg.value_hidden = read_pod<std::int32_t>(in);
+  cfg.action_override = has_action_override ? read_pod<std::int32_t>(in) : 0;
+  check_net_config(cfg);
+  return cfg;
+}
+
 void save_net(PolicyValueNet& net, std::ostream& out) {
   out.write(kMagic, sizeof kMagic);
   write_pod(out, kVersion);
-  write_config(out, net.config());
+  write_net_config(out, net.config());
   const auto params = net.params();
   write_pod<std::uint32_t>(out, static_cast<std::uint32_t>(params.size()));
   for (Param* p : params) {
@@ -87,7 +132,7 @@ void save_net_file(PolicyValueNet& net, const std::string& path) {
 }
 
 void load_net(PolicyValueNet& net, std::istream& in) {
-  const NetConfig cfg = read_config(in, read_header(in));
+  const NetConfig cfg = read_net_config(in, read_header(in) >= 2);
   APM_CHECK_MSG(cfg == net.config(), "checkpoint config mismatch");
   const auto count = read_pod<std::uint32_t>(in);
   const auto params = net.params();
@@ -108,7 +153,7 @@ void load_net_file(PolicyValueNet& net, const std::string& path) {
 }
 
 NetConfig peek_net_config(std::istream& in) {
-  return read_config(in, read_header(in));
+  return read_net_config(in, read_header(in) >= 2);
 }
 
 }  // namespace apm

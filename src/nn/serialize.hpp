@@ -22,4 +22,14 @@ void load_net_file(PolicyValueNet& net, const std::string& path);
 // Reads just the config from a checkpoint (to construct a matching net).
 NetConfig peek_net_config(std::istream& in);
 
+// The NetConfig header both checkpoint formats (APMN, APMQ) share: ten i32
+// fields, of which APMN v1 omits action_override. read_net_config checks
+// every field before returning — channel counts, board sides and
+// value_hidden in [1, 65536], action_override in [0, 65536], and every
+// layer's weight and per-sample activation count within int — and aborts
+// with the field's name otherwise, so no loader sizes anything from an
+// unchecked header.
+void write_net_config(std::ostream& out, const NetConfig& cfg);
+NetConfig read_net_config(std::istream& in, bool has_action_override = true);
+
 }  // namespace apm

@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <vector>
 
-#if defined(__AVX512VNNI__) && defined(__AVX512F__)
+#if defined(__AVX512F__)
 #include <immintrin.h>
+#if defined(__AVX512VNNI__)
 #define APM_Q8_VNNI 1
+#endif
 #endif
 
 #include "support/check.hpp"
@@ -112,6 +115,65 @@ void pack_b_t(const float* bt, int ldbt, int kc, int nc, float* dst) {
   }
 }
 
+// Packs rows [kc0, kc0 + kc) x columns [jc, jc + nc) of the lowered
+// convolution input (see ConvPlan) into kNR-column panels bp[p*kNR + j],
+// zero past the batch's last column: bitwise the panels pack_b builds from
+// im2col. Each panel row is one masked 16-lane load per sample the panel
+// covers; the masks zero the taps that fall off the board.
+void pack_b_conv(const ConvInput& in, int kc0, int kc, int jc, int nc,
+                 float* dst) {
+  const ConvPlan& plan = *in.plan;
+  const int hw = plan.height * plan.width;
+  const int taps = plan.ksize * plan.ksize;
+  const std::ptrdiff_t sample = static_cast<std::ptrdiff_t>(in.channels) * hw;
+  const int panels = (nc + kNR - 1) / kNR;
+  for (int jp = 0; jp < panels; ++jp) {
+    const int gp = jc / kNR + jp;
+    const int e = gp % plan.period;
+    const int b0 = gp / plan.period * plan.period_samples;
+    // The panel's segments in samples of this batch: where lane 0 of the
+    // segment reads channel 0 at tap offset 0, and its per-tap lane masks.
+    std::ptrdiff_t seg_off[kNR];
+    const std::uint16_t* seg_mask[kNR];
+    int nseg = 0;
+    for (int s = plan.seg_begin[e]; s < plan.seg_begin[e + 1]; ++s) {
+      const int b = b0 + plan.seg_sample[s];
+      if (b >= in.batch) break;
+      seg_off[nseg] = b * sample + plan.seg_hw[s];
+      seg_mask[nseg] = plan.masks.data() + static_cast<std::size_t>(s) * taps;
+      ++nseg;
+    }
+    float* d = dst + static_cast<std::size_t>(jp) * kc * kNR;
+    int c = kc0 / taps, t = kc0 % taps;
+    for (int p = 0; p < kc; ++p) {
+      const std::ptrdiff_t row =
+          static_cast<std::ptrdiff_t>(c) * hw + plan.tap_off[t];
+#if defined(__AVX512F__)
+      // Masked-off lanes are neither read nor faulted on.
+      __m512 v = _mm512_setzero_ps();
+      for (int s = 0; s < nseg; ++s) {
+        v = _mm512_mask_loadu_ps(v, seg_mask[s][t], in.x + seg_off[s] + row);
+      }
+      _mm512_storeu_ps(d + p * kNR, v);
+#else
+      float* dr = d + p * kNR;
+      for (int l = 0; l < kNR; ++l) dr[l] = 0.0f;
+      for (int s = 0; s < nseg; ++s) {
+        const unsigned mask = seg_mask[s][t];
+        const std::ptrdiff_t base = seg_off[s] + row;
+        for (int l = 0; l < kNR; ++l) {
+          if ((mask >> l) & 1u) dr[l] = in.x[base + l];
+        }
+      }
+#endif
+      if (++t == taps) {
+        t = 0;
+        ++c;
+      }
+    }
+  }
+}
+
 // The fp32 micro-kernel: R rows of an A panel (ap[p*R + r]) against P
 // consecutive 16-lane B panels (panel_stride floats apart), one 16-lane
 // accumulator per (row, panel) held in registers across the whole K loop.
@@ -176,10 +238,33 @@ void store_tile(float* c, int ldc, const float* acc, int i0, int j0, int mr,
   }
 }
 
+// Where C lives. A matrix GEMM writes row-major C[M, N]; a convolution
+// writes y[B, M, hw], column j = b*hw + q of row i landing at y[b][i][q].
+// One view covers both: `hw` columns per sample (N for a matrix, so every
+// tile lies in sample 0) and `sample` floats from one sample to the next.
+struct OutView {
+  float* c;
+  int hw;
+  std::size_t sample;
+
+  // Calls store(cb, s, j, len) for each run of a tile's columns
+  // [j0, j0 + nr) that lies in one sample: tile lanes [s, s + len) are
+  // columns [j, j + len), and cb addresses that sample's output as a
+  // [M, hw] matrix indexed by the global column j.
+  template <typename Store>
+  void split(int j0, int nr, Store store) const {
+    for (int j = j0; j < j0 + nr;) {
+      const int b = j / hw;
+      const int end = std::min(j0 + nr, (b + 1) * hw);
+      store(c + b * (sample - hw), j - j0, j, end - j);
+      j = end;
+    }
+  }
+};
+
 // The destination and epilogue of every micro-tile of one K block.
 struct TileStore {
-  float* c;
-  int ldc;
+  OutView out;
   bool first;
   bool last;
   bool accumulate;
@@ -188,8 +273,10 @@ struct TileStore {
   bool relu;
 
   void operator()(const float* acc, int i0, int j0, int mr, int nr) const {
-    store_tile(c, ldc, acc, i0, j0, mr, nr, first, last, accumulate,
-               row_bias, col_bias, relu);
+    out.split(j0, nr, [&](float* cb, int s, int j, int len) {
+      store_tile(cb, out.hw, acc + s, i0, j, mr, len, first, last,
+                 accumulate, row_bias, col_bias, relu);
+    });
   }
 };
 
@@ -256,13 +343,45 @@ void compute_block(const float* apack, const float* bpack, int kc, int mc,
 
 // One GEMM operand as the driver consumes it: a row-major matrix packed
 // into panels by every call (`trans`: A stored [K, M], B stored [N, K]),
-// or weights whose panels pack_weights built once (`panels` non-null; a K
-// block's panels lie back to back, blocks in K order).
+// weights whose panels pack_weights built once (`panels` non-null; a K
+// block's panels lie back to back, blocks in K order), or — B only — a
+// convolution input gathered into panels by every call (`conv` non-null),
+// which also makes C the convolution's [B, M, H*W] output.
 struct Operand {
   const float* data = nullptr;
   bool trans = false;
   const float* panels = nullptr;
+  const ConvInput* conv = nullptr;
 };
+
+OutView output_view(const Operand& b, float* c, int m, int n) {
+  const int hw =
+      b.conv != nullptr ? b.conv->plan->height * b.conv->plan->width : n;
+  return {c, hw, static_cast<std::size_t>(m) * hw};
+}
+
+// One (column block, K block) of B as kNR-column panels: pre-packed weights
+// in place, otherwise packed into the calling thread's buffer from the
+// matrix, its transpose or the convolution input.
+const float* b_panels(const Operand& b, int n, int k, int kc0, int kc,
+                      int jc, int nc) {
+  if (b.panels != nullptr) {
+    // Columns of one K block of pre-packed B, padded to whole panels.
+    const auto b_cols = static_cast<std::size_t>((n + kNR - 1) / kNR * kNR);
+    return b.panels + kc0 * b_cols + static_cast<std::size_t>(jc) * kc;
+  }
+  const int n_panels = (nc + kNR - 1) / kNR;
+  float* buf =
+      pack_buffer(tl_bpack, static_cast<std::size_t>(n_panels) * kc * kNR);
+  if (b.conv != nullptr) {
+    pack_b_conv(*b.conv, kc0, kc, jc, nc, buf);
+  } else if (b.trans) {
+    pack_b_t(b.data + static_cast<std::size_t>(jc) * k + kc0, k, kc, nc, buf);
+  } else {
+    pack_b(b.data + static_cast<std::size_t>(kc0) * n + jc, n, kc, nc, buf);
+  }
+  return buf;
+}
 
 // Every m-block of C for one (column block, K block): packs A per block
 // unless it is pre-packed, then runs the micro-tiles against bpack. Kept
@@ -315,30 +434,14 @@ void gemm_driver(const Operand& a, const Operand& b, const float* row_bias,
     return;
   }
 
-  // Columns of one K block of pre-packed B, padded to whole panels.
-  const auto b_cols = static_cast<std::size_t>((n + kNR - 1) / kNR * kNR);
+  const OutView out = output_view(b, c, m, n);
   for (int jc = 0; jc < n; jc += kNC) {
     const int nc = std::min(kNC, n - jc);
-    const int n_panels = (nc + kNR - 1) / kNR;
     for (int kc0 = 0; kc0 < k; kc0 += kKC) {
       const int kc = std::min(kKC, k - kc0);
-      const float* bpack;
-      if (b.panels != nullptr) {
-        bpack = b.panels + kc0 * b_cols + static_cast<std::size_t>(jc) * kc;
-      } else {
-        float* buf = pack_buffer(
-            tl_bpack, static_cast<std::size_t>(n_panels) * kc * kNR);
-        if (b.trans) {
-          pack_b_t(b.data + static_cast<std::size_t>(jc) * k + kc0, k, kc,
-                   nc, buf);
-        } else {
-          pack_b(b.data + static_cast<std::size_t>(kc0) * n + jc, n, kc, nc,
-                 buf);
-        }
-        bpack = buf;
-      }
-      const TileStore store{c,        n,        kc0 == 0, kc0 + kc == k,
-                            accumulate, row_bias, col_bias, relu};
+      const float* bpack = b_panels(b, n, k, kc0, kc, jc, nc);
+      const TileStore store{out,        kc0 == 0, kc0 + kc == k, accumulate,
+                            row_bias,   col_bias, relu};
       row_blocks(a, bpack, m, k, kc0, kc, nc, jc, store);
     }
   }
@@ -370,68 +473,50 @@ void gemm_driver(const Operand& a, const Operand& b, const float* row_bias,
 
 thread_local std::vector<std::uint8_t> tl_q8_apack;
 thread_local std::vector<std::uint8_t> tl_q8_bpack;
-thread_local std::vector<std::uint8_t> tl_q8_qtmp;  // row-major u8 staging
 thread_local std::vector<float> tl_q8_a_scale;
 thread_local std::vector<float> tl_q8_a_corr;
 thread_local std::vector<float> tl_q8_b_scale;
 thread_local std::vector<float> tl_q8_b_corr;
-thread_local std::vector<float> tl_q8_lo;
-thread_local std::vector<float> tl_q8_inv;
 
-// Quantizes the activation block b[kc x nc] (row-major, leading dim ldb)
-// into kNR-lane K-quad panels dst[jp][(p/4)*kNR*4 + j*4 + p%4], writing the
-// per-lane dequant scale and offset (lane j of panel jp at index
-// jp*kNR + j; padded lanes get scale 0). Three row-major passes (min/max,
-// quantize to a staging row, scatter into quads) keep the strided column
-// walks out of the hot loop so the first two passes auto-vectorise.
-void pack_act_cols_q8(const float* b, int ldb, int kc, int nc, int kq,
-                      std::uint8_t* dst, float* scale, float* off) {
-  const int panels = (nc + kNR - 1) / kNR;
-  const int ncp = panels * kNR;  // padded lane count
-  float* lo = pack_buffer(tl_q8_lo, static_cast<std::size_t>(2) * ncp);
-  float* hi = lo + ncp;
-  float* inv = pack_buffer(tl_q8_inv, static_cast<std::size_t>(ncp));
-  for (int j = 0; j < ncp; ++j) lo[j] = 0.0f;   // 0 in range: padding-exact
-  for (int j = 0; j < ncp; ++j) hi[j] = 0.0f;
-  for (int p = 0; p < kc; ++p) {
-    const float* row = b + static_cast<std::size_t>(p) * ldb;
-    for (int j = 0; j < nc; ++j) lo[j] = std::min(lo[j], row[j]);
-    for (int j = 0; j < nc; ++j) hi[j] = std::max(hi[j], row[j]);
-  }
-  for (int j = 0; j < ncp; ++j) {
-    const float range = hi[j] - lo[j];
-    scale[j] = range / 255.0f;
-    off[j] = lo[j];
-    inv[j] = range > 0.0f ? 255.0f / range : 0.0f;
-  }
-  // Stage quantized rows u8[kc][ncp], then scatter bytes into K-quads.
-  std::uint8_t* tmp = pack_buffer(
-      tl_q8_qtmp, static_cast<std::size_t>(kc) * ncp);
-  for (int p = 0; p < kc; ++p) {
-    const float* row = b + static_cast<std::size_t>(p) * ldb;
-    std::uint8_t* trow = tmp + static_cast<std::size_t>(p) * ncp;
-    // (x - lo) * inv >= 0, so +0.5f-truncate is round-half-up — branch-free
-    // and vectorisable, identical on every host.
-    for (int j = 0; j < nc; ++j) {
-      trow[j] = static_cast<std::uint8_t>(
-          static_cast<int>((row[j] - lo[j]) * inv[j] + 0.5f));
-    }
-    for (int j = nc; j < ncp; ++j) trow[j] = 0;
-  }
+// Quantizes one K block of kNR-lane fp32 panels bp[jp][p*kNR + j] (from
+// b_panels, the same gather the fp32 GEMM packs; padding lanes hold 0)
+// into K-quad panels dst[jp][(p/4)*kNR*4 + j*4 + p%4], writing the per-lane
+// dequant scale and offset (lane j of panel jp at index jp*kNR + j;
+// padding lanes get scale 0). A panel row is one 16-lane vector, so the
+// min/max and the quantization run lane-parallel, and the four rows of a
+// K-quad interleave into one 64-byte store.
+void quantize_panels_q8(const float* bp, int kc, int panels, int kq,
+                        std::uint8_t* dst, float* scale, float* off) {
+  using v16i = std::int32_t __attribute__((vector_size(64), aligned(4)));
   for (int jp = 0; jp < panels; ++jp) {
+    const float* src = bp + static_cast<std::size_t>(jp) * kc * kNR;
+    v16f lo = {}, hi = {};  // 0 in range: padding-exact
+    for (int p = 0; p < kc; ++p) {
+      v16f row;
+      std::memcpy(&row, src + static_cast<std::size_t>(p) * kNR, sizeof row);
+      lo = row < lo ? row : lo;  // std::min(lo, row), lane by lane
+      hi = hi < row ? row : hi;  // std::max(hi, row)
+    }
+    const v16f range = hi - lo;
+    const v16f zero = {};
+    const v16f inv = range > zero ? 255.0f / range : zero;
+    const v16f step = range / 255.0f;
+    std::memcpy(scale + jp * kNR, &step, sizeof step);
+    std::memcpy(off + jp * kNR, &lo, sizeof lo);
     std::uint8_t* d = dst + static_cast<std::size_t>(jp) * kq * kNR * 4;
     for (int q = 0; q < kq; ++q) {
-      std::uint8_t* dq = d + static_cast<std::size_t>(q) * kNR * 4;
-      for (int t = 0; t < 4; ++t) {
-        const int p = q * 4 + t;
-        if (p >= kc) {
-          for (int j = 0; j < kNR; ++j) dq[j * 4 + t] = 0;
-          continue;
-        }
-        const std::uint8_t* trow =
-            tmp + static_cast<std::size_t>(p) * ncp + jp * kNR;
-        for (int j = 0; j < kNR; ++j) dq[j * 4 + t] = trow[j];
+      v16i quad = {};
+      for (int t = 0; t < 4 && q * 4 + t < kc; ++t) {
+        v16f row;
+        std::memcpy(&row, src + static_cast<std::size_t>(q * 4 + t) * kNR,
+                    sizeof row);
+        // (x - lo) * inv >= 0, so +0.5f-truncate is round-half-up —
+        // branch-free, identical on every host; the byte is its low 8 bits.
+        const v16i u = __builtin_convertvector((row - lo) * inv + 0.5f, v16i);
+        quad |= (u & 0xFF) << (8 * t);
       }
+      std::memcpy(d + static_cast<std::size_t>(q) * kNR * 4, &quad,
+                  sizeof quad);
     }
   }
 }
@@ -651,8 +736,8 @@ void store_tile_q8(float* c, int ldc, const std::int32_t* acc, int i0,
 // int8 convs ran up to 20% slower.
 [[gnu::noinline]] void q8_row_blocks(const PackedWeightsQ8& w,
                                      const float* act, const float* bias,
-                                     float* c, int m, int n, int k, int kc0,
-                                     int nc, int jc,
+                                     const OutView& out, int m, int k,
+                                     int kc0, int nc, int jc,
                                      const std::uint8_t* bpack,
                                      const float* cs, const float* cc,
                                      bool relu) {
@@ -705,22 +790,25 @@ void store_tile_q8(float* c, int ldc, const std::int32_t* acc, int i0,
         } else {
           micro_kernel_q8_4x16<false>(ap, bp, kq, acc);
         }
-        store_tile_q8(c, n, acc, i0 + ip * kQ8MR, jc + jp * kNR, mr, nr,
-                      rs + ip * kQ8MR, cs + jp * kNR, rc + ip * kQ8MR,
-                      cc + jp * kNR, first, last, row_bias, col_bias,
-                      relu);
+        out.split(jc + jp * kNR, nr, [&](float* cb, int s, int j, int len) {
+          store_tile_q8(cb, out.hw, acc + s, i0 + ip * kQ8MR, j, mr, len,
+                        rs + ip * kQ8MR, cs + jp * kNR + s, rc + ip * kQ8MR,
+                        cc + jp * kNR + s, first, last, row_bias, col_bias,
+                        relu);
+        });
       }
     }
   }
 }
 
 // Int8 GEMM driver: the q8 counterpart of gemm_driver. The weights' role
-// selects the conv shape (A = packed Wq[M,K], B = fp32 activations
-// quantized on pack) vs the linear-abt shape (A = fp32 activation rows,
-// B = packed Wq[N,K]).
+// selects the conv shape (A = packed Wq[M,K], B = fp32 activations —
+// the matrix `act` or the convolution input `conv` — packed into fp32
+// panels and quantized from them) vs the linear-abt shape (A = fp32
+// activation rows `act`, B = packed Wq[N,K]).
 void gemm_q8_driver(const PackedWeightsQ8& w, const float* act,
-                    const float* bias, float* c, int m, int n, int k,
-                    bool relu) {
+                    const ConvInput* conv, const float* bias, float* c, int m,
+                    int n, int k, bool relu) {
   APM_DCHECK(m >= 0 && n >= 0 && k >= 0);
   const bool weights_a = w.role == WeightRole::kA;
   const float* row_bias = weights_a ? bias : nullptr;
@@ -738,6 +826,8 @@ void gemm_q8_driver(const PackedWeightsQ8& w, const float* act,
   }
 
   const std::size_t w_rows = w.scale.size();  // whole panels
+  const Operand b{act, false, nullptr, conv};
+  const OutView out = output_view(b, c, m, n);
   for (int jc = 0; jc < n; jc += kNC) {
     const int nc = std::min(kNC, n - jc);
     const int n_panels = (nc + kNR - 1) / kNR;
@@ -758,8 +848,8 @@ void gemm_q8_driver(const PackedWeightsQ8& w, const float* act,
                                    static_cast<std::size_t>(n_panels) * kNR);
         float* off = pack_buffer(tl_q8_b_corr,
                                  static_cast<std::size_t>(n_panels) * kNR);
-        pack_act_cols_q8(act + static_cast<std::size_t>(kc0) * n + jc, n, kc,
-                         nc, kq, buf, scale, off);
+        quantize_panels_q8(b_panels(b, n, k, kc0, kc, jc, nc), kc, n_panels,
+                           kq, buf, scale, off);
         bpack = buf;
         cs = scale;
         cc = off;
@@ -768,7 +858,7 @@ void gemm_q8_driver(const PackedWeightsQ8& w, const float* act,
         cs = w.scale.data() + jc;
         cc = wcorr + jc;
       }
-      q8_row_blocks(w, act, bias, c, m, n, k, kc0, nc, jc, bpack, cs, cc,
+      q8_row_blocks(w, act, bias, out, m, k, kc0, nc, jc, bpack, cs, cc,
                     relu);
     }
   }
@@ -894,14 +984,14 @@ void pack_weights_q8(const std::int8_t* wq, const float* wscales, int rows,
 void gemm_q8_packed_bias_relu(const PackedWeightsQ8& w, const float* b,
                               const float* bias, float* c, int n, bool relu) {
   APM_CHECK(w.role == WeightRole::kA);
-  gemm_q8_driver(w, b, bias, c, w.rows, n, w.k, relu);
+  gemm_q8_driver(w, b, nullptr, bias, c, w.rows, n, w.k, relu);
 }
 
 void gemm_q8_abt_packed_bias_relu(const float* a, const PackedWeightsQ8& w,
                                   const float* bias, float* c, int m,
                                   bool relu) {
   APM_CHECK(w.role == WeightRole::kBt);
-  gemm_q8_driver(w, a, bias, c, m, w.rows, w.k, relu);
+  gemm_q8_driver(w, a, nullptr, bias, c, m, w.rows, w.k, relu);
 }
 
 void gemm_q8_bias_relu(const std::int8_t* wq, const float* wscales,
@@ -928,44 +1018,100 @@ bool gemm_q8_simd_enabled() {
 #endif
 }
 
-void im2col(const float* x, int channels, int height, int width, int ksize,
-            int pad, float* col) {
-  im2col_batched(x, 1, channels, height, width, ksize, pad, col);
+void build_conv_plan(int height, int width, int ksize, ConvPlan& plan) {
+  APM_CHECK(height > 0 && width > 0 && ksize > 0 && ksize % 2 == 1);
+  const int hw = height * width;
+  const int pad = ksize / 2;
+  const int taps = ksize * ksize;
+  plan.height = height;
+  plan.width = width;
+  plan.ksize = ksize;
+  plan.period = hw / std::gcd(hw, kNR);
+  plan.period_samples = kNR / std::gcd(hw, kNR);
+  plan.tap_off.clear();
+  for (int t = 0; t < taps; ++t) {
+    plan.tap_off.push_back((t / ksize - pad) * width + (t % ksize - pad));
+  }
+  plan.seg_begin.clear();
+  plan.seg_sample.clear();
+  plan.seg_hw.clear();
+  plan.masks.clear();
+  for (int e = 0; e < plan.period; ++e) {
+    plan.seg_begin.push_back(static_cast<int>(plan.seg_sample.size()));
+    for (int l = 0; l < kNR;) {
+      const int j = e * kNR + l;
+      const int q0 = j % hw;
+      const int len = std::min(kNR - l, hw - q0);
+      plan.seg_sample.push_back(j / hw);
+      plan.seg_hw.push_back(q0 - l);
+      for (int t = 0; t < taps; ++t) {
+        const int dy = t / ksize - pad, dx = t % ksize - pad;
+        unsigned mask = 0;
+        for (int i = l; i < l + len; ++i) {
+          const int q = q0 + i - l;
+          const int iy = q / width + dy, ix = q % width + dx;
+          if (iy >= 0 && iy < height && ix >= 0 && ix < width) mask |= 1u << i;
+        }
+        plan.masks.push_back(static_cast<std::uint16_t>(mask));
+      }
+      l += len;
+    }
+  }
+  plan.seg_begin.push_back(static_cast<int>(plan.seg_sample.size()));
 }
 
-void im2col_batched(const float* x, int batch, int channels, int height,
-                    int width, int ksize, int pad, float* col) {
-  const int out_h = height;  // stride-1, same padding
-  const int out_w = width;
-  const std::size_t hw = static_cast<std::size_t>(out_h) * out_w;
-  const std::size_t bhw = static_cast<std::size_t>(batch) * hw;
+namespace {
+
+// Columns of the lowered input, after checking that the weights' K is the
+// input's C*k*k.
+int conv_columns(int wk, const ConvInput& in) {
+  APM_CHECK(in.plan != nullptr && in.batch >= 0 && in.channels > 0);
+  APM_CHECK(wk == in.channels * in.plan->ksize * in.plan->ksize);
+  return in.batch * in.plan->height * in.plan->width;
+}
+
+}  // namespace
+
+void conv_packed_bias_relu(const PackedWeights& w, const ConvInput& in,
+                           const float* bias, float* y, bool relu) {
+  APM_CHECK(w.role == WeightRole::kA);
+  gemm_driver(Operand{nullptr, false, w.panels.data()},
+              Operand{nullptr, false, nullptr, &in}, bias, nullptr, y, w.rows,
+              conv_columns(w.k, in), w.k, false, relu);
+}
+
+void conv_q8_packed_bias_relu(const PackedWeightsQ8& w, const ConvInput& in,
+                              const float* bias, float* y, bool relu) {
+  APM_CHECK(w.role == WeightRole::kA);
+  gemm_q8_driver(w, nullptr, &in, bias, y, w.rows, conv_columns(w.k, in),
+                 w.k, relu);
+}
+
+void im2col(const float* x, int channels, int height, int width, int ksize,
+            int pad, float* col) {
+  const std::size_t hw = static_cast<std::size_t>(height) * width;
   for (int c = 0; c < channels; ++c) {
+    const float* xc = x + static_cast<std::size_t>(c) * hw;
     for (int ky = 0; ky < ksize; ++ky) {
       for (int kx = 0; kx < ksize; ++kx) {
         const std::size_t row = (static_cast<std::size_t>(c) * ksize + ky) *
                                     ksize + kx;
-        float* dst_row = col + row * bhw;
-        for (int b = 0; b < batch; ++b) {
-          const float* xc =
-              x + (static_cast<std::size_t>(b) * channels + c) * hw;
-          float* dst = dst_row + static_cast<std::size_t>(b) * hw;
-          for (int oy = 0; oy < out_h; ++oy) {
-            const int iy = oy + ky - pad;
-            float* drow = dst + static_cast<std::size_t>(oy) * out_w;
-            if (iy < 0 || iy >= height) {
-              std::memset(drow, 0, static_cast<std::size_t>(out_w) * 4);
-              continue;
-            }
-            const float* xrow = xc + static_cast<std::size_t>(iy) * width;
-            const int x0 = std::max(0, pad - kx);           // first ox in range
-            const int x1 = std::min(out_w, width + pad - kx);  // one past last
-            for (int ox = 0; ox < x0; ++ox) drow[ox] = 0.0f;
-            if (x1 > x0) {
-              std::memcpy(drow + x0, xrow + x0 + kx - pad,
-                          static_cast<std::size_t>(x1 - x0) * 4);
-            }
-            for (int ox = std::max(x0, x1); ox < out_w; ++ox) drow[ox] = 0.0f;
+        for (int oy = 0; oy < height; ++oy) {
+          const int iy = oy + ky - pad;
+          float* drow = col + row * hw + static_cast<std::size_t>(oy) * width;
+          if (iy < 0 || iy >= height) {
+            std::memset(drow, 0, static_cast<std::size_t>(width) * 4);
+            continue;
           }
+          const float* xrow = xc + static_cast<std::size_t>(iy) * width;
+          const int x0 = std::max(0, pad - kx);              // first ox in range
+          const int x1 = std::min(width, width + pad - kx);  // one past last
+          for (int ox = 0; ox < x0; ++ox) drow[ox] = 0.0f;
+          if (x1 > x0) {
+            std::memcpy(drow + x0, xrow + x0 + kx - pad,
+                        static_cast<std::size_t>(x1 - x0) * 4);
+          }
+          for (int ox = std::max(x0, x1); ox < width; ++ox) drow[ox] = 0.0f;
         }
       }
     }

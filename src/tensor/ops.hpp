@@ -1,13 +1,16 @@
 #pragma once
-// Tensor kernels: packed register-blocked GEMM, im2col/col2im, activations,
-// softmax.
+// Tensor kernels: packed register-blocked GEMM, implicit-GEMM convolution,
+// im2col/col2im, activations, softmax.
 //
 // Layout contracts (all row-major):
 //   gemm        : C[M,N] (+)= A[M,K] * B[K,N]
 //   gemm_atb    : C[M,N] (+)= A[K,M]^T * B[K,N]
 //   gemm_abt    : C[M,N] (+)= A[M,K] * B[N,K]^T
 // These three cover forward, weight-gradient and input-gradient passes of
-// both Linear and (via im2col) Conv2d without materialising transposes.
+// Linear, and the training passes of Conv2d over its im2col columns,
+// without materialising transposes. Conv forward is an implicit GEMM
+// (conv_packed_bias_relu): its B panels are gathered straight from the
+// [B, C, H, W] input and its tiles stored straight into [B, Cout, H, W].
 //
 // The gemm/gemm_atb family runs on one shared driver: A and B are packed
 // into L1-resident panels and consumed by one register-blocked micro-kernel
@@ -176,9 +179,10 @@ struct PackedWeightsQ8 {
 void pack_weights_q8(const std::int8_t* wq, const float* wscales, int rows,
                      int k, WeightRole role, PackedWeightsQ8& out);
 
-// Quantized convolution forward on pre-packed weights (role kA):
+// Int8 GEMM on pre-packed weights (role kA), the matrix form of
+// conv_q8_packed_bias_relu:
 // C[M,N] = dequant(Wq * q8(B[K,N])) + bias[row i], then ReLU when `relu`.
-// B (the im2col activations) is quantized on the fly during the pack step.
+// B is packed into fp32 panels and quantized on the fly from them.
 // `bias` may be nullptr.
 void gemm_q8_packed_bias_relu(const PackedWeightsQ8& w, const float* b,
                               const float* bias, float* c, int n, bool relu);
@@ -204,20 +208,68 @@ void gemm_q8_abt_bias_relu(const float* a, const std::int8_t* wq,
 // fallback computes bit-identical results, only slower).
 bool gemm_q8_simd_enabled();
 
-// --- convolution lowering ---------------------------------------------------
+// --- implicit-GEMM convolution ---------------------------------------------
+// A stride-1, same-padded k×k convolution of x[B, C, H, W] is the GEMM
+// y = W[Cout, C·k·k] · X[C·k·k, B·H·W] over the lowered input X, whose row
+// p = (c·k + ky)·k + kx and column j = b·H·W + oy·W + ox hold
+// x[b, c, oy+ky−pad, ox+kx−pad] (0 off the board). The convolution GEMMs
+// never build X: their B pack reads each 16-lane panel row straight from
+// x — one masked 16-float load per sample the panel covers — and their
+// epilogue stores each tile into y[b, oc, oy·W + ox], split where a tile
+// straddles two samples. The panels are bitwise those im2col + the matrix
+// pack would build, so outputs equal the lowered GEMM's bit for bit.
+
+// Where the lanes of every B panel read, for one (H, W, ksize). A panel's
+// lanes split into segments, one per sample they cover; a segment's lane l
+// reads x at (its sample's channel plane) + hw + l + tap offset, and a
+// per-(segment, tap) lane mask zeroes the lanes whose tap falls off the
+// board. Panel phases repeat every `period` panels (`period_samples`
+// samples), so one plan serves every batch size and channel count.
+struct ConvPlan {
+  int height = 0;
+  int width = 0;
+  int ksize = 0;
+  int period = 0;          // panels per repeat: H·W / gcd(H·W, 16)
+  int period_samples = 0;  // samples per repeat: 16 / gcd(H·W, 16)
+  std::vector<int> seg_begin;   // [period + 1]: first segment of each panel
+  std::vector<int> seg_sample;  // per segment: sample offset in the repeat
+  std::vector<int> seg_hw;      // per segment: the h·w index lane 0 maps to
+  std::vector<int> tap_off;     // [k·k]: (ky − pad)·W + (kx − pad)
+  std::vector<std::uint16_t> masks;  // [segment][tap]: lanes on the board
+};
+
+// Builds `plan` for an H×W input and a ksize×ksize kernel (odd ksize, pad
+// ksize/2), reusing its storage.
+void build_conv_plan(int height, int width, int ksize, ConvPlan& plan);
+
+// A convolution input x[batch, channels, plan.height, plan.width] as the
+// implicit GEMM's B operand.
+struct ConvInput {
+  const float* x = nullptr;
+  int batch = 0;
+  int channels = 0;
+  const ConvPlan* plan = nullptr;
+};
+
+// Convolution forward on pre-packed weights (role kA, w.k == C·k·k):
+// y[B, Cout, H, W] = W * X + bias[oc], then ReLU when `relu`. Bitwise equal
+// to gemm_packed_bias_relu over each sample's im2col columns.
+void conv_packed_bias_relu(const PackedWeights& w, const ConvInput& in,
+                           const float* bias, float* y, bool relu);
+
+// The int8 form: bitwise equal to gemm_q8_packed_bias_relu over each
+// sample's im2col columns (activations quantize per K block and column).
+void conv_q8_packed_bias_relu(const PackedWeightsQ8& w, const ConvInput& in,
+                              const float* bias, float* y, bool relu);
+
+// --- convolution lowering (training) ----------------------------------------
 
 // Lowers one image x[C,H,W] to columns col[C*k*k, H*W] for a k×k
 // convolution with `pad` zero padding and stride 1 (output spatial size
 // equals input spatial size when pad == k/2, which is all this library
-// uses).
+// uses). Conv2d's training forward keeps these columns for backward.
 void im2col(const float* x, int channels, int height, int width, int ksize,
             int pad, float* col);
-
-// Whole-batch lowering: x[B,C,H,W] -> col[C*k*k, B*H*W] with column index
-// b*H*W + oy*W + ox. One call feeds a single large GEMM covering the entire
-// batch (N = B·H·W) instead of B tiny per-sample GEMMs.
-void im2col_batched(const float* x, int batch, int channels, int height,
-                    int width, int ksize, int pad, float* col);
 
 // Adjoint of im2col: accumulates columns back into dx[C,H,W]. dx must be
 // zeroed by the caller.

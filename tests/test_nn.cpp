@@ -165,13 +165,10 @@ TEST(Conv2d, FusedReluMatchesSeparateRelu) {
 }
 
 TEST(Conv2d, BatchedColCacheMatchesPerSampleIm2col) {
-  // Training keeps per-sample columns; slicing them out of the batch-major
-  // buffer must reproduce exactly what per-sample im2col produces. The 1x1
-  // case with a one-byte budget lowers one sample per chunk, where the
-  // sample itself serves as its columns; its output must also match the
-  // whole-batch pass bit for bit.
-  for (const auto [ksize, budget] : {std::pair{3, std::size_t{0}},
-                                     std::pair{1, std::size_t{1}}}) {
+  // Training keeps per-sample columns for backward; they must be exactly
+  // what per-sample im2col produces, and filling them must not change the
+  // forward output.
+  for (const int ksize : {3, 1}) {
     Rng rng(16);
     Conv2d conv("c", 2, 3, ksize);
     conv.init(rng);
@@ -180,7 +177,6 @@ TEST(Conv2d, BatchedColCacheMatchesPerSampleIm2col) {
     Tensor x = Tensor::randn({batch, 2, h, w}, rng, 1.0f);
     Tensor y, cache;
     ConvWorkspace ws;
-    ws.col_budget_bytes = budget;
     conv.forward(x, y, ws, &cache);
     ASSERT_EQ(cache.dim(0), batch);
     std::vector<float> single(static_cast<std::size_t>(kk) * hw);
@@ -196,6 +192,49 @@ TEST(Conv2d, BatchedColCacheMatchesPerSampleIm2col) {
     ConvWorkspace ws_whole;
     conv.forward(x, y_whole, ws_whole);
     EXPECT_TRUE(same_bits(y, y_whole)) << "k=" << ksize;
+  }
+}
+
+TEST(Conv2d, ImplicitGemmMatchesPerSampleIm2colBitwise) {
+  // The implicit GEMM gathers its B panels straight from x and stores
+  // straight into [B, Cout, HW]; it must equal per-sample im2col +
+  // gemm_bias_relu on the same weights bit for bit. The shapes cover both
+  // kernels, boards whose panels straddle samples (H*W not a multiple of
+  // 16), N = 1125 > the GEMM's 1024-column block (B = 5 at 15x15) and
+  // K = 576, three K blocks.
+  constexpr int kCin = 64, kCout = 13;
+  ConvWorkspace ws;  // one workspace across every shape, as a net uses it
+  for (const int ksize : {1, 3}) {
+    Rng rng(static_cast<std::uint64_t>(40 + ksize));
+    Conv2d conv("c", kCin, kCout, ksize);
+    conv.init(rng);
+    conv.params()[1]->mutable_value().fill_randn(rng, 0.5f);
+    const int kk = kCin * ksize * ksize;
+    for (const auto& [h, w] : {std::pair{15, 15}, std::pair{9, 9},
+                               std::pair{6, 6}, std::pair{6, 7}}) {
+      const int hw = h * w;
+      for (const int batch : {1, 2, 5, 8}) {
+        const Tensor x = Tensor::randn({batch, kCin, h, w}, rng, 1.0f);
+        std::vector<float> col(static_cast<std::size_t>(kk) * hw);
+        for (const bool relu : {true, false}) {
+          Tensor expect({batch, kCout, h, w});
+          for (int b = 0; b < batch; ++b) {
+            im2col(x.data() + static_cast<std::size_t>(b) * kCin * hw, kCin,
+                   h, w, ksize, ksize / 2, col.data());
+            gemm_bias_relu(conv.weight().value().data(), col.data(),
+                           conv.bias().value().data(),
+                           expect.data() +
+                               static_cast<std::size_t>(b) * kCout * hw,
+                           kCout, hw, kk, relu);
+          }
+          Tensor y;
+          conv.forward(x, y, ws, nullptr, relu);
+          EXPECT_TRUE(same_bits(y, expect))
+              << "k=" << ksize << " board=" << h << "x" << w
+              << " B=" << batch << " relu=" << relu;
+        }
+      }
+    }
   }
 }
 
@@ -434,6 +473,32 @@ TEST(PolicyValueNet, TrainingReducesLossOnFixedBatch) {
   EXPECT_TRUE(same_predictions(net, fresh, x)) << "SgdOptimizer::step";
 }
 
+TEST(PolicyValueNet, TrainForwardMatchesPredictBitwise) {
+  // Training fills its col caches on the side and applies ReLU as a
+  // separate pass; its post-ReLU activations and heads must still be
+  // exactly what inference computes. The paper net's conv3 spans three K
+  // blocks, and a 15x15 batch of 3 has panels straddling samples.
+  const NetConfig cfg;
+  PolicyValueNet net(cfg, 61);
+  Rng rng(62);
+  for (Param* p : net.params()) {  // non-zero biases reach every epilogue
+    if (p->name.ends_with(".b")) p->mutable_value().fill_randn(rng, 0.1f);
+  }
+  const Tensor x =
+      Tensor::randn({3, cfg.in_channels, cfg.height, cfg.width}, rng, 1.0f);
+  Activations train, infer;
+  net.forward(x, train, /*train=*/true);
+  net.forward(x, infer, /*train=*/false);
+  EXPECT_TRUE(same_bits(train.t1r, infer.t1r));
+  EXPECT_TRUE(same_bits(train.t2r, infer.t2r));
+  EXPECT_TRUE(same_bits(train.t3r, infer.t3r));
+  EXPECT_TRUE(same_bits(train.p0r, infer.p0r));
+  EXPECT_TRUE(same_bits(train.v0r, infer.v0r));
+  EXPECT_TRUE(same_bits(train.v1r, infer.v1r));
+  EXPECT_TRUE(same_bits(train.p_logits, infer.p_logits));
+  EXPECT_TRUE(same_bits(train.value, infer.value));
+}
+
 TEST(PolicyValueNet, ParameterCountMatchesArchitecture) {
   NetConfig cfg;  // paper configuration: 15×15, 5 conv + 3 FC
   PolicyValueNet net(cfg, 1);
@@ -516,6 +581,32 @@ TEST(Serialization, PeekRejectsUnsupportedVersion) {
   std::memcpy(bytes.data() + 4, &version, sizeof version);
   std::stringstream stream(bytes);
   EXPECT_DEATH(peek_net_config(stream), "unsupported checkpoint version");
+}
+
+TEST(Serialization, RejectsOutOfRangeConfig) {
+  // Every header field is checked before anything is sized from it: a
+  // zero, negative or huge field aborts with the field's name.
+  PolicyValueNet net(NetConfig::tiny(4), 1);
+  std::stringstream saved;
+  save_net(net, saved);
+  // Config i32 fields start after the 4-byte magic and u32 version, in
+  // NetConfig order: in_channels, height, width, trunk1, trunk2, ...
+  const auto patched = [&](int field, std::int32_t v) {
+    std::string bytes = saved.str();
+    std::memcpy(bytes.data() + 8 + 4 * field, &v, sizeof v);
+    return bytes;
+  };
+  std::stringstream negative(patched(4, -3));
+  EXPECT_DEATH(peek_net_config(negative), "trunk2 out of range");
+  std::stringstream zero(patched(1, 0));
+  EXPECT_DEATH(peek_net_config(zero), "height out of range");
+  std::stringstream huge(patched(0, 1 << 30));
+  EXPECT_DEATH(load_net(net, huge), "in_channels out of range");
+  // Each field in range, their product not: a 50000x50000 board.
+  std::string board = patched(1, 50000);
+  std::memcpy(board.data() + 8 + 4 * 2, &board[8 + 4 * 1], 4);
+  std::stringstream wide(board);
+  EXPECT_DEATH(peek_net_config(wide), "height\\*width overflows int");
 }
 
 TEST(Optimizer, MomentumAccumulates) {

@@ -278,6 +278,52 @@ TEST(Q8Gemm, DegenerateShapes) {
   for (float v : out) EXPECT_EQ(v, 0.0f);
 }
 
+TEST(QuantizedConv2d, ImplicitGemmMatchesPerSampleIm2colBitwise) {
+  // The int8 conv quantizes panels gathered straight from x; it must equal
+  // per-sample im2col + gemm_q8_bias_relu on the same int8 weights bit for
+  // bit (activation scales are per K block and column, so the lowering
+  // cannot change them). Same shape matrix as the fp32 test in test_nn:
+  // straddling panels, N > 1024 and K = 576 (three K blocks).
+  constexpr int kCin = 64, kCout = 13;
+  ConvWorkspace ws;
+  for (const int ksize : {1, 3}) {
+    Rng rng(static_cast<std::uint64_t>(50 + ksize));
+    Conv2d src("c", kCin, kCout, ksize);
+    src.init(rng);
+    src.params()[1]->mutable_value().fill_randn(rng, 0.5f);
+    const QuantizedConv2d conv(src);
+    const int kk = kCin * ksize * ksize;
+    for (const auto& [h, w] : {std::pair{15, 15}, std::pair{9, 9},
+                               std::pair{6, 6}, std::pair{6, 7}}) {
+      const int hw = h * w;
+      for (const int batch : {1, 2, 5, 8}) {
+        const Tensor x = Tensor::randn({batch, kCin, h, w}, rng, 1.0f);
+        std::vector<float> col(static_cast<std::size_t>(kk) * hw);
+        for (const bool relu : {true, false}) {
+          Tensor expect({batch, kCout, h, w});
+          for (int b = 0; b < batch; ++b) {
+            im2col(x.data() + static_cast<std::size_t>(b) * kCin * hw, kCin,
+                   h, w, ksize, ksize / 2, col.data());
+            gemm_q8_bias_relu(conv.wq().data(), conv.wscale().data(),
+                              col.data(), conv.bias().data(),
+                              expect.data() +
+                                  static_cast<std::size_t>(b) * kCout * hw,
+                              kCout, hw, kk, relu);
+          }
+          Tensor y;
+          conv.forward(x, y, ws, relu);
+          ASSERT_EQ(y.numel(), expect.numel());
+          EXPECT_EQ(std::memcmp(y.data(), expect.data(),
+                                y.numel() * sizeof(float)),
+                    0)
+              << "k=" << ksize << " board=" << h << "x" << w
+              << " B=" << batch << " relu=" << relu;
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Net layer: conversion pass, checkpoint round-trip, evaluator flavor.
 
@@ -423,6 +469,35 @@ TEST(QuantizedNet, NetEvaluatorServesInt8) {
     EXPECT_EQ(oq[b].policy, oq2[b].policy);
     EXPECT_EQ(oq[b].value, oq2[b].value);
   }
+}
+
+TEST(QuantizedCheckpoint, RejectsOutOfRangeConfig) {
+  // The APMQ loader checks every header field before it sizes a layer from
+  // it: a zero, negative or huge field aborts with the field's name.
+  PolicyValueNet net(NetConfig::tiny(4), 1);
+  std::stringstream saved;
+  save_quantized_net(QuantizedPolicyValueNet(net), saved);
+  // Config i32 fields start after the 4-byte magic and u32 version, in
+  // NetConfig order: in_channels, height, width, trunk1, trunk2, ...
+  const auto patched = [&](int field, std::int32_t v) {
+    std::string bytes = saved.str();
+    std::memcpy(bytes.data() + 8 + 4 * field, &v, sizeof v);
+    return bytes;
+  };
+  std::stringstream zero(patched(5, 0));
+  EXPECT_DEATH(load_quantized_net(zero), "trunk3 out of range");
+  std::stringstream negative(patched(9, -1));
+  EXPECT_DEATH(load_quantized_net(negative), "action_override out of range");
+  std::stringstream huge(patched(8, 1 << 30));
+  EXPECT_DEATH(load_quantized_net(huge), "value_hidden out of range");
+  // Each field in range, the fc_p weight count not: 7 policy channels over
+  // a 200x200 board with 40000 actions is ~1.1e10 floats.
+  std::string board = patched(1, 200);
+  std::memcpy(board.data() + 8 + 4 * 2, &board[8 + 4 * 1], 4);
+  std::int32_t policy = 7;
+  std::memcpy(board.data() + 8 + 4 * 6, &policy, sizeof policy);
+  std::stringstream wide(board);
+  EXPECT_DEATH(load_quantized_net(wide), "fc_p weight size overflows int");
 }
 
 }  // namespace

@@ -291,30 +291,6 @@ TEST(Gemm, MatchesSequentialFmaChain) {
   }
 }
 
-TEST(Im2Col, BatchedMatchesPerSample) {
-  const int batch = 3, c = 2, h = 5, w = 4, ksize = 3, pad = 1;
-  const int hw = h * w;
-  const int kk = c * ksize * ksize;
-  Rng rng(17);
-  const auto x =
-      random_vec(static_cast<std::size_t>(batch) * c * hw, rng);
-
-  std::vector<float> batched(static_cast<std::size_t>(kk) * batch * hw);
-  im2col_batched(x.data(), batch, c, h, w, ksize, pad, batched.data());
-
-  std::vector<float> single(static_cast<std::size_t>(kk) * hw);
-  for (int b = 0; b < batch; ++b) {
-    im2col(x.data() + static_cast<std::size_t>(b) * c * hw, c, h, w, ksize,
-           pad, single.data());
-    for (int r = 0; r < kk; ++r)
-      for (int p = 0; p < hw; ++p) {
-        ASSERT_EQ(batched[(static_cast<std::size_t>(r) * batch + b) * hw + p],
-                  single[static_cast<std::size_t>(r) * hw + p])
-            << "b=" << b << " r=" << r << " p=" << p;
-      }
-  }
-}
-
 TEST(Tensor, ReshapeIsAView) {
   Tensor t({2, 3, 4});
   for (std::size_t i = 0; i < t.numel(); ++i) t[i] = static_cast<float>(i);
