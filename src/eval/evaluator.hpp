@@ -77,7 +77,6 @@ class SyntheticEvaluator final : public Evaluator {
   std::size_t input_size() const override { return input_size_; }
   void evaluate(const float* input, EvalOutput& out) override;
 
-  void set_latency_us(double us) { latency_us_ = us; }
   double latency_us() const { return latency_us_; }
 
  private:

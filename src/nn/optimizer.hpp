@@ -24,7 +24,6 @@ class SgdOptimizer {
   // (call zero_grad on the net between steps).
   void step();
 
-  void set_lr(float lr) { cfg_.lr = lr; }
   float lr() const { return cfg_.lr; }
 
  private:

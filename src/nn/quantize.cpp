@@ -1,7 +1,8 @@
 #include "nn/quantize.hpp"
 
 #include <cstring>
-#include <fstream>
+#include <istream>
+#include <ostream>
 #include <utility>
 
 #include "nn/serialize.hpp"
@@ -191,19 +192,6 @@ constexpr char kQMagic[4] = {'A', 'P', 'M', 'Q'};
 constexpr std::uint32_t kQVersion = 1;
 
 template <typename T>
-void write_pod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof value);
-}
-
-template <typename T>
-T read_pod(std::istream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof value);
-  APM_CHECK_MSG(in.good(), "truncated quantized checkpoint");
-  return value;
-}
-
-template <typename T>
 void write_array(std::ostream& out, const T* data, std::size_t n) {
   write_pod<std::uint64_t>(out, n);
   out.write(reinterpret_cast<const char*>(data),
@@ -221,13 +209,9 @@ std::vector<T> read_array(std::istream& in, std::size_t expect) {
   return v;
 }
 
-void write_qconv(std::ostream& out, const QuantizedConv2d& c) {
-  write_array(out, c.wq().data(), c.wq().size());
-  write_array(out, c.wscale().data(), c.wscale().size());
-  write_array(out, c.bias().data(), c.bias().size());
-}
-
-void write_qlin(std::ostream& out, const QuantizedLinear& l) {
+// A QuantizedConv2d or QuantizedLinear: wq, wscale, bias.
+template <typename QLayer>
+void write_qlayer(std::ostream& out, const QLayer& l) {
   write_array(out, l.wq().data(), l.wq().size());
   write_array(out, l.wscale().data(), l.wscale().size());
   write_array(out, l.bias().data(), l.bias().size());
@@ -257,29 +241,16 @@ QuantizedLinear read_qlin(std::istream& in, int in_f, int out_f) {
                          std::move(bias));
 }
 
-Conv2d read_fconv(std::istream& in, const char* name, int in_ch, int out_ch,
-                  int ksize) {
-  Conv2d c(name, in_ch, out_ch, ksize);
-  auto params = c.params();
-  auto w = read_array<float>(in, params[0]->numel());
-  auto b = read_array<float>(in, params[1]->numel());
-  std::memcpy(params[0]->mutable_value().data(), w.data(),
-              w.size() * sizeof(float));
-  std::memcpy(params[1]->mutable_value().data(), b.data(),
-              b.size() * sizeof(float));
-  return c;
-}
-
-Linear read_flin(std::istream& in, const char* name, int in_f, int out_f) {
-  Linear l(name, in_f, out_f);
-  auto params = l.params();
-  auto w = read_array<float>(in, params[0]->numel());
-  auto b = read_array<float>(in, params[1]->numel());
-  std::memcpy(params[0]->mutable_value().data(), w.data(),
-              w.size() * sizeof(float));
-  std::memcpy(params[1]->mutable_value().data(), b.data(),
-              b.size() * sizeof(float));
-  return l;
+// An fp32 Conv2d or Linear built from its constructor arguments, its
+// weight then bias read as write_fp32 wrote them.
+template <typename Layer, typename... Shape>
+Layer read_fp32(std::istream& in, const char* name, Shape... shape) {
+  Layer layer(name, shape...);
+  for (Param* p : layer.params()) {
+    const auto v = read_array<float>(in, p->numel());
+    std::memcpy(p->mutable_value().data(), v.data(), v.size() * sizeof(float));
+  }
+  return layer;
 }
 
 }  // namespace
@@ -293,34 +264,27 @@ void save_quantized_net(const QuantizedPolicyValueNet& net,
   write_pod<std::uint8_t>(out, spec.policy_head_int8 ? 1 : 0);
   write_pod<std::uint8_t>(out, spec.value_head_int8 ? 1 : 0);
 
-  write_qconv(out, net.conv1());
-  write_qconv(out, net.conv2());
-  write_qconv(out, net.conv3());
+  write_qlayer(out, net.conv1());
+  write_qlayer(out, net.conv2());
+  write_qlayer(out, net.conv3());
   // Heads follow in fixed order: policy (conv, fc), value (conv, fc1), then
   // the always-fp32 fc_v2. Layer precision is implied by the spec bytes.
   if (spec.policy_head_int8) {
-    write_qconv(out, *net.qconv_p());
-    write_qlin(out, *net.qfc_p());
+    write_qlayer(out, *net.qconv_p());
+    write_qlayer(out, *net.qfc_p());
   } else {
     write_fp32(out, net.fconv_p()->weight(), net.fconv_p()->bias());
     write_fp32(out, net.ffc_p()->weight(), net.ffc_p()->bias());
   }
   if (spec.value_head_int8) {
-    write_qconv(out, *net.qconv_v());
-    write_qlin(out, *net.qfc_v1());
+    write_qlayer(out, *net.qconv_v());
+    write_qlayer(out, *net.qfc_v1());
   } else {
     write_fp32(out, net.fconv_v()->weight(), net.fconv_v()->bias());
     write_fp32(out, net.ffc_v1()->weight(), net.ffc_v1()->bias());
   }
   write_fp32(out, net.fc_v2().weight(), net.fc_v2().bias());
   APM_CHECK_MSG(out.good(), "quantized checkpoint write failed");
-}
-
-void save_quantized_net_file(const QuantizedPolicyValueNet& net,
-                             const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  APM_CHECK_MSG(out.is_open(), "cannot open quantized checkpoint for write");
-  save_quantized_net(net, out);
 }
 
 QuantizedPolicyValueNet load_quantized_net(std::istream& in) {
@@ -348,27 +312,21 @@ QuantizedPolicyValueNet load_quantized_net(std::istream& in) {
     net.qfc_p_ = read_qlin(in, cfg.policy_channels * hw, cfg.actions());
   } else {
     net.fconv_p_ =
-        read_fconv(in, "conv_p", cfg.trunk3, cfg.policy_channels, 1);
-    net.ffc_p_ = read_flin(in, "fc_p", cfg.policy_channels * hw,
-                           cfg.actions());
+        read_fp32<Conv2d>(in, "conv_p", cfg.trunk3, cfg.policy_channels, 1);
+    net.ffc_p_ = read_fp32<Linear>(in, "fc_p", cfg.policy_channels * hw,
+                                   cfg.actions());
   }
   if (spec.value_head_int8) {
     net.qconv_v_ = read_qconv(in, cfg.trunk3, cfg.value_channels, 1);
     net.qfc_v1_ = read_qlin(in, cfg.value_channels * hw, cfg.value_hidden);
   } else {
     net.fconv_v_ =
-        read_fconv(in, "conv_v", cfg.trunk3, cfg.value_channels, 1);
-    net.ffc_v1_ = read_flin(in, "fc_v1", cfg.value_channels * hw,
-                            cfg.value_hidden);
+        read_fp32<Conv2d>(in, "conv_v", cfg.trunk3, cfg.value_channels, 1);
+    net.ffc_v1_ = read_fp32<Linear>(in, "fc_v1", cfg.value_channels * hw,
+                                    cfg.value_hidden);
   }
-  net.fc_v2_ = read_flin(in, "fc_v2", cfg.value_hidden, 1);
+  net.fc_v2_ = read_fp32<Linear>(in, "fc_v2", cfg.value_hidden, 1);
   return net;
-}
-
-QuantizedPolicyValueNet load_quantized_net_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  APM_CHECK_MSG(in.is_open(), "cannot open quantized checkpoint for read");
-  return load_quantized_net(in);
 }
 
 }  // namespace apm

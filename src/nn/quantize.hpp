@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "nn/policy_value_net.hpp"
@@ -161,9 +160,6 @@ class QuantizedPolicyValueNet {
 // without the fp32 source.
 void save_quantized_net(const QuantizedPolicyValueNet& net,
                         std::ostream& out);
-void save_quantized_net_file(const QuantizedPolicyValueNet& net,
-                             const std::string& path);
 QuantizedPolicyValueNet load_quantized_net(std::istream& in);
-QuantizedPolicyValueNet load_quantized_net_file(const std::string& path);
 
 }  // namespace apm

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <utility>
 
 #include "support/check.hpp"
 
@@ -16,60 +17,44 @@ constexpr char kMagic[4] = {'A', 'P', 'M', 'N'};
 // H*W, e.g. Connect4's 7 columns); v1 checkpoints load with override 0.
 constexpr std::uint32_t kVersion = 2;
 
-template <typename T>
-void write_pod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof value);
-}
-
-template <typename T>
-T read_pod(std::istream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof value);
-  APM_CHECK_MSG(in.good(), "truncated checkpoint");
-  return value;
-}
-
-// Aborts with `what` unless lo <= v <= kMaxField.
-constexpr std::int64_t kMaxField = 1 << 16;
-void check_field(std::int64_t v, std::int64_t lo, const char* what) {
-  APM_CHECK_MSG(v >= lo && v <= kMaxField, what);
-}
-
-// Aborts with `what` unless a layer size fits in int. Every factor is at
-// most kMaxField and every product below is formed from factors already
-// checked, so none overflows int64.
-void check_size(std::int64_t v, const char* what) {
-  APM_CHECK_MSG(v <= std::numeric_limits<int>::max(), what);
-}
-
+// Aborts, naming the first bad field, unless every count is in [1, 2^16]
+// (action_override in [0, 2^16]) and every layer size fits in int. The
+// sizes are checked in order, so each product is of factors already
+// bounded (H·W and C·H·W within int) and none overflows int64.
 void check_net_config(const NetConfig& cfg) {
-  check_field(cfg.in_channels, 1, "checkpoint in_channels out of range");
-  check_field(cfg.height, 1, "checkpoint height out of range");
-  check_field(cfg.width, 1, "checkpoint width out of range");
-  check_field(cfg.trunk1, 1, "checkpoint trunk1 out of range");
-  check_field(cfg.trunk2, 1, "checkpoint trunk2 out of range");
-  check_field(cfg.trunk3, 1, "checkpoint trunk3 out of range");
-  check_field(cfg.policy_channels, 1,
-              "checkpoint policy_channels out of range");
-  check_field(cfg.value_channels, 1, "checkpoint value_channels out of range");
-  check_field(cfg.value_hidden, 1, "checkpoint value_hidden out of range");
-  check_field(cfg.action_override, 0,
-              "checkpoint action_override out of range");
-
+  using Field = std::pair<std::int64_t, const char*>;
+  const Field counts[] = {
+      {cfg.in_channels, "checkpoint in_channels out of range"},
+      {cfg.height, "checkpoint height out of range"},
+      {cfg.width, "checkpoint width out of range"},
+      {cfg.trunk1, "checkpoint trunk1 out of range"},
+      {cfg.trunk2, "checkpoint trunk2 out of range"},
+      {cfg.trunk3, "checkpoint trunk3 out of range"},
+      {cfg.policy_channels, "checkpoint policy_channels out of range"},
+      {cfg.value_channels, "checkpoint value_channels out of range"},
+      {cfg.value_hidden, "checkpoint value_hidden out of range"}};
+  for (const auto& [v, what] : counts) {
+    APM_CHECK_MSG(v >= 1 && v <= (1 << 16), what);
+  }
+  APM_CHECK_MSG(cfg.action_override >= 0 && cfg.action_override <= (1 << 16),
+                "checkpoint action_override out of range");
+  const auto fits = [](std::int64_t v, const char* what) {
+    APM_CHECK_MSG(v <= std::numeric_limits<int>::max(), what);
+  };
   const std::int64_t hw = std::int64_t{cfg.height} * cfg.width;
-  check_size(hw, "checkpoint height*width overflows int");
+  fits(hw, "checkpoint height*width overflows int");
   const std::int64_t channels =
       std::max({cfg.in_channels, cfg.trunk1, cfg.trunk2, cfg.trunk3,
                 cfg.policy_channels, cfg.value_channels});
-  check_size(channels * hw, "checkpoint activation size overflows int");
+  fits(channels * hw, "checkpoint activation size overflows int");
   const std::int64_t trunk = std::max({cfg.trunk1, cfg.trunk2, cfg.trunk3});
-  check_size(channels * trunk * 9, "checkpoint conv weight size overflows int");
+  fits(channels * trunk * 9, "checkpoint conv weight size overflows int");
   const std::int64_t actions =
       cfg.action_override > 0 ? cfg.action_override : hw;
-  check_size(cfg.policy_channels * hw * actions,
-             "checkpoint fc_p weight size overflows int");
-  check_size(cfg.value_channels * hw * cfg.value_hidden,
-             "checkpoint fc_v1 weight size overflows int");
+  fits(cfg.policy_channels * hw * actions,
+       "checkpoint fc_p weight size overflows int");
+  fits(cfg.value_channels * hw * cfg.value_hidden,
+       "checkpoint fc_v1 weight size overflows int");
 }
 
 // Reads and checks the magic and version; returns the version.
@@ -144,12 +129,6 @@ void load_net(PolicyValueNet& net, std::istream& in) {
             static_cast<std::streamsize>(numel * sizeof(float)));
     APM_CHECK_MSG(in.good(), "truncated checkpoint");
   }
-}
-
-void load_net_file(PolicyValueNet& net, const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  APM_CHECK_MSG(in.is_open(), "cannot open checkpoint for reading");
-  load_net(net, in);
 }
 
 NetConfig peek_net_config(std::istream& in) {

@@ -5,10 +5,12 @@
 // param count u32 | per param: numel u64 + raw float32 data.
 // Little-endian, host order (checkpoints are host-local artifacts).
 
-#include <iosfwd>
+#include <istream>
+#include <ostream>
 #include <string>
 
 #include "nn/policy_value_net.hpp"
+#include "support/check.hpp"
 
 namespace apm {
 
@@ -17,7 +19,6 @@ void save_net_file(PolicyValueNet& net, const std::string& path);
 
 // Loads into an existing net; the stored config must match net.config().
 void load_net(PolicyValueNet& net, std::istream& in);
-void load_net_file(PolicyValueNet& net, const std::string& path);
 
 // Reads just the config from a checkpoint (to construct a matching net).
 NetConfig peek_net_config(std::istream& in);
@@ -31,5 +32,19 @@ NetConfig peek_net_config(std::istream& in);
 // unchecked header.
 void write_net_config(std::ostream& out, const NetConfig& cfg);
 NetConfig read_net_config(std::istream& in, bool has_action_override = true);
+
+// Host-order POD I/O shared by both formats; a short read aborts.
+template <typename T>
+void write_pod(std::ostream& out, const T& value) {
+  out.write(reinterpret_cast<const char*>(&value), sizeof value);
+}
+
+template <typename T>
+T read_pod(std::istream& in) {
+  T value{};
+  in.read(reinterpret_cast<char*>(&value), sizeof value);
+  APM_CHECK_MSG(in.good(), "truncated checkpoint");
+  return value;
+}
 
 }  // namespace apm

@@ -110,10 +110,6 @@ void set_trace_capacity(std::size_t events) {
   g_capacity.store(events < 64 ? 64 : events, std::memory_order_relaxed);
 }
 
-std::size_t trace_capacity() {
-  return g_capacity.load(std::memory_order_relaxed);
-}
-
 void set_thread_name(const char* name) {
   ThreadBuffer* tb = tls_buffer();
   std::strncpy(tb->name, name, kMaxThreadName);

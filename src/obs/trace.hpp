@@ -58,7 +58,6 @@ void set_tracing(bool on);
 // Per-thread ring capacity (events) for buffers created AFTER the call.
 // Call before set_tracing(true); existing buffers keep their size.
 void set_trace_capacity(std::size_t events);
-std::size_t trace_capacity();
 
 // Names the calling thread in trace exports (copied, bounded). Registers
 // the thread's buffer as a side effect, so it may allocate — call it from

@@ -24,7 +24,7 @@ SimTime SimEngine::run() {
 
 void SimResource::submit(SimTime service, std::function<void()> done) {
   APM_CHECK(service >= 0.0);
-  Job job{service, engine_.now(), std::move(done)};
+  Job job{service, std::move(done)};
   if (busy_ < servers_) {
     start(std::move(job));
   } else {
@@ -35,8 +35,6 @@ void SimResource::submit(SimTime service, std::function<void()> done) {
 void SimResource::start(Job job) {
   ++busy_;
   busy_time_ += job.service;
-  max_queue_delay_ = std::max(max_queue_delay_, engine_.now() - job.enqueued);
-  ++served_;
   engine_.schedule(job.service, [this, done = std::move(job.done)] {
     --busy_;
     if (!waiting_.empty()) {

@@ -75,13 +75,10 @@ class SimResource {
   SimTime busy_time() const { return busy_time_; }
   const std::string& name() const { return name_; }
   int servers() const { return servers_; }
-  std::size_t jobs_served() const { return served_; }
-  SimTime max_queue_delay() const { return max_queue_delay_; }
 
  private:
   struct Job {
     SimTime service;
-    SimTime enqueued;
     std::function<void()> done;
   };
 
@@ -93,8 +90,6 @@ class SimResource {
   int busy_ = 0;
   std::queue<Job> waiting_;
   SimTime busy_time_ = 0.0;
-  SimTime max_queue_delay_ = 0.0;
-  std::size_t served_ = 0;
 };
 
 }  // namespace apm

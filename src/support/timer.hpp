@@ -19,7 +19,6 @@ class Timer {
   }
 
   double elapsed_us() const { return elapsed_seconds() * 1e6; }
-  double elapsed_ms() const { return elapsed_seconds() * 1e3; }
 
  private:
   using Clock = std::chrono::steady_clock;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <numeric>
 #include <vector>
 
 #if defined(__AVX512F__)
@@ -115,6 +114,19 @@ void pack_b_t(const float* bt, int ldbt, int kc, int nc, float* dst) {
   }
 }
 
+// Calls run(b, l, j, len) for each run of columns [j0, j0 + n) that lies
+// in one sample of hw columns: lanes [l, l + len) are columns [j, j + len)
+// of sample b. Shared by the conv B pack and the conv output store.
+template <typename Run>
+void sample_runs(int j0, int n, int hw, Run run) {
+  for (int j = j0; j < j0 + n;) {
+    const int b = j / hw;
+    const int end = std::min(j0 + n, (b + 1) * hw);
+    run(b, j - j0, j, end - j);
+    j = end;
+  }
+}
+
 // Packs rows [kc0, kc0 + kc) x columns [jc, jc + nc) of the lowered
 // convolution input (see ConvPlan) into kNR-column panels bp[p*kNR + j],
 // zero past the batch's last column: bitwise the panels pack_b builds from
@@ -128,38 +140,41 @@ void pack_b_conv(const ConvInput& in, int kc0, int kc, int jc, int nc,
   const std::ptrdiff_t sample = static_cast<std::ptrdiff_t>(in.channels) * hw;
   const int panels = (nc + kNR - 1) / kNR;
   for (int jp = 0; jp < panels; ++jp) {
-    const int gp = jc / kNR + jp;
-    const int e = gp % plan.period;
-    const int b0 = gp / plan.period * plan.period_samples;
-    // The panel's segments in samples of this batch: where lane 0 of the
-    // segment reads channel 0 at tap offset 0, and its per-tap lane masks.
+    // The panel's runs in one sample: where lane 0 of the run would read
+    // channel 0 at tap offset 0, its first lane, and its tap-0 lane masks.
     std::ptrdiff_t seg_off[kNR];
+    int seg_lane[kNR];
     const std::uint16_t* seg_mask[kNR];
     int nseg = 0;
-    for (int s = plan.seg_begin[e]; s < plan.seg_begin[e + 1]; ++s) {
-      const int b = b0 + plan.seg_sample[s];
-      if (b >= in.batch) break;
-      seg_off[nseg] = b * sample + plan.seg_hw[s];
-      seg_mask[nseg] = plan.masks.data() + static_cast<std::size_t>(s) * taps;
-      ++nseg;
-    }
+    sample_runs(jc + jp * kNR, std::min(kNR, nc - jp * kNR), hw,
+                [&](int b, int l, int j, int) {
+                  const int q0 = j - b * hw;
+                  seg_off[nseg] = b * sample + q0 - l;
+                  seg_lane[nseg] = l;
+                  seg_mask[nseg] = plan.masks.data() + q0;
+                  ++nseg;
+                });
     float* d = dst + static_cast<std::size_t>(jp) * kc * kNR;
     int c = kc0 / taps, t = kc0 % taps;
     for (int p = 0; p < kc; ++p) {
       const std::ptrdiff_t row =
           static_cast<std::ptrdiff_t>(c) * hw + plan.tap_off[t];
+      const std::ptrdiff_t tap_masks = static_cast<std::ptrdiff_t>(t) * hw;
 #if defined(__AVX512F__)
       // Masked-off lanes are neither read nor faulted on.
       __m512 v = _mm512_setzero_ps();
       for (int s = 0; s < nseg; ++s) {
-        v = _mm512_mask_loadu_ps(v, seg_mask[s][t], in.x + seg_off[s] + row);
+        const auto mask =
+            static_cast<__mmask16>(seg_mask[s][tap_masks] << seg_lane[s]);
+        v = _mm512_mask_loadu_ps(v, mask, in.x + seg_off[s] + row);
       }
       _mm512_storeu_ps(d + p * kNR, v);
 #else
       float* dr = d + p * kNR;
       for (int l = 0; l < kNR; ++l) dr[l] = 0.0f;
       for (int s = 0; s < nseg; ++s) {
-        const unsigned mask = seg_mask[s][t];
+        const unsigned mask =
+            static_cast<std::uint16_t>(seg_mask[s][tap_masks] << seg_lane[s]);
         const std::ptrdiff_t base = seg_off[s] + row;
         for (int l = 0; l < kNR; ++l) {
           if ((mask >> l) & 1u) dr[l] = in.x[base + l];
@@ -253,12 +268,9 @@ struct OutView {
   // [M, hw] matrix indexed by the global column j.
   template <typename Store>
   void split(int j0, int nr, Store store) const {
-    for (int j = j0; j < j0 + nr;) {
-      const int b = j / hw;
-      const int end = std::min(j0 + nr, (b + 1) * hw);
-      store(c + b * (sample - hw), j - j0, j, end - j);
-      j = end;
-    }
+    sample_runs(j0, nr, hw, [&](int b, int s, int j, int len) {
+      store(c + b * (sample - hw), s, j, len);
+    });
   }
 };
 
@@ -338,6 +350,19 @@ void compute_block(const float* apack, const float* bpack, int kc, int mc,
   if (const int rows = mc - full * kMR; rows > 0) {
     tail_tiles<kMR - 1>(rows, apack + static_cast<std::size_t>(full) * kc * kMR,
                         bpack, kc, nc, i0 + full * kMR, jc, store);
+  }
+}
+
+// A degenerate (K = 0) product into row-major C[M, N]: C (+)= the epilogue
+// of an empty sum.
+void empty_sum(float* c, int m, int n, bool accumulate, const float* row_bias,
+               const float* col_bias, bool relu) {
+  for (int i = 0; i < m; ++i) {
+    float* crow = c + static_cast<std::size_t>(i) * n;
+    if (!accumulate) std::memset(crow, 0, static_cast<std::size_t>(n) * 4);
+    if (row_bias) for (int j = 0; j < n; ++j) crow[j] += row_bias[i];
+    if (col_bias) for (int j = 0; j < n; ++j) crow[j] += col_bias[j];
+    if (relu) for (int j = 0; j < n; ++j) crow[j] = std::max(crow[j], 0.0f);
   }
 }
 
@@ -423,14 +448,7 @@ void gemm_driver(const Operand& a, const Operand& b, const float* row_bias,
   APM_DCHECK(!(accumulate && (row_bias || col_bias || relu)));
   if (m == 0 || n == 0) return;
   if (k == 0) {
-    // Degenerate reduction: C is the epilogue of an empty sum.
-    for (int i = 0; i < m; ++i) {
-      float* crow = c + static_cast<std::size_t>(i) * n;
-      if (!accumulate) std::memset(crow, 0, static_cast<std::size_t>(n) * 4);
-      if (row_bias) for (int j = 0; j < n; ++j) crow[j] += row_bias[i];
-      if (col_bias) for (int j = 0; j < n; ++j) crow[j] += col_bias[j];
-      if (relu) for (int j = 0; j < n; ++j) crow[j] = std::max(crow[j], 0.0f);
-    }
+    empty_sum(c, m, n, accumulate, row_bias, col_bias, relu);
     return;
   }
 
@@ -559,64 +577,27 @@ void pack_act_rows_q8(const float* a, int lda, int mc, int kc, int kq,
   }
 }
 
-// One K block of pre-quantized weight rows as the A side (conv: Wq[M,K]):
-// kQ8MR-row K-quad panels plus the per-row block sum of wq (the dequant
-// correction term).
-void pack_wq_rows_a(const std::int8_t* wq, int ldw, int mc, int kc, int kq,
-                    std::uint8_t* dst, std::int32_t* wqsum) {
-  const int panels = (mc + kQ8MR - 1) / kQ8MR;
+// One K block of pre-quantized weight rows Wq[rows, K] as K-quad panels
+// `width` lanes wide (the conv A side: kQ8MR rows, lane = row; the linear
+// abt B side: kNR lanes, lane = weight row) plus the per-lane block sum of
+// wq (the dequant correction term). Padding lanes are zero.
+void pack_wq_rows(const std::int8_t* wq, int ldw, int rows, int kc, int kq,
+                  int width, std::uint8_t* dst, std::int32_t* wqsum) {
+  const int panels = (rows + width - 1) / width;
   for (int ip = 0; ip < panels; ++ip) {
-    std::uint8_t* d = dst + static_cast<std::size_t>(ip) * kq * kQ8MR * 4;
-    for (int r = 0; r < kQ8MR; ++r) {
-      const int rr = ip * kQ8MR + r;
+    std::uint8_t* d = dst + static_cast<std::size_t>(ip) * kq * width * 4;
+    for (int r = 0; r < width; ++r) {
+      const int rr = ip * width + r;
       std::int32_t s = 0;
-      if (rr >= mc) {
-        for (int q = 0; q < kq; ++q)
-          for (int t = 0; t < 4; ++t) d[(q * kQ8MR + r) * 4 + t] = 0;
-      } else {
-        const std::int8_t* src = wq + static_cast<std::size_t>(rr) * ldw;
-        for (int p = 0; p < kc; ++p) {
-          const std::int8_t v = src[p];
-          s += v;
-          d[(p >> 2) * kQ8MR * 4 + r * 4 + (p & 3)] =
-              static_cast<std::uint8_t>(v);
-        }
-        for (int p = kc; p < kq * 4; ++p) {
-          d[(p >> 2) * kQ8MR * 4 + r * 4 + (p & 3)] = 0;
-        }
+      for (int p = 0; p < kq * 4; ++p) {
+        const std::int8_t v =
+            rr < rows && p < kc ? wq[static_cast<std::size_t>(rr) * ldw + p]
+                                : 0;
+        s += v;
+        d[(p >> 2) * width * 4 + r * 4 + (p & 3)] =
+            static_cast<std::uint8_t>(v);
       }
-      wqsum[ip * kQ8MR + r] = s;
-    }
-  }
-}
-
-// One K block of pre-quantized weight rows as the B side (linear abt:
-// Wq[N,K], logical column j = weight row j): kNR-lane K-quad panels plus
-// per-lane block sums.
-void pack_wq_rows_b(const std::int8_t* wq, int ldw, int kc, int nc, int kq,
-                    std::uint8_t* dst, std::int32_t* wqsum) {
-  const int panels = (nc + kNR - 1) / kNR;
-  for (int jp = 0; jp < panels; ++jp) {
-    std::uint8_t* d = dst + static_cast<std::size_t>(jp) * kq * kNR * 4;
-    for (int j = 0; j < kNR; ++j) {
-      const int jj = jp * kNR + j;
-      std::int32_t s = 0;
-      if (jj >= nc) {
-        for (int q = 0; q < kq; ++q)
-          for (int t = 0; t < 4; ++t) d[(q * kNR + j) * 4 + t] = 0;
-      } else {
-        const std::int8_t* src = wq + static_cast<std::size_t>(jj) * ldw;
-        for (int p = 0; p < kc; ++p) {
-          const std::int8_t v = src[p];
-          s += v;
-          d[(p >> 2) * kNR * 4 + j * 4 + (p & 3)] =
-              static_cast<std::uint8_t>(v);
-        }
-        for (int p = kc; p < kq * 4; ++p) {
-          d[(p >> 2) * kNR * 4 + j * 4 + (p & 3)] = 0;
-        }
-      }
-      wqsum[jp * kNR + j] = s;
+      wqsum[rr] = s;
     }
   }
 }
@@ -815,13 +796,7 @@ void gemm_q8_driver(const PackedWeightsQ8& w, const float* act,
   const float* col_bias = weights_a ? nullptr : bias;
   if (m == 0 || n == 0) return;
   if (k == 0) {
-    for (int i = 0; i < m; ++i) {
-      float* crow = c + static_cast<std::size_t>(i) * n;
-      std::memset(crow, 0, static_cast<std::size_t>(n) * 4);
-      if (row_bias) for (int j = 0; j < n; ++j) crow[j] += row_bias[i];
-      if (col_bias) for (int j = 0; j < n; ++j) crow[j] += col_bias[j];
-      if (relu) for (int j = 0; j < n; ++j) crow[j] = std::max(crow[j], 0.0f);
-    }
+    empty_sum(c, m, n, false, row_bias, col_bias, relu);
     return;
   }
 
@@ -969,11 +944,7 @@ void pack_weights_q8(const std::int8_t* wq, const float* wscales, int rows,
     const int kc = std::min(kKC, k - kc0);
     const int kq = (kc + 3) / 4;
     std::uint8_t* dst = out.panels.data() + kc0 * padded;
-    if (role == WeightRole::kA) {
-      pack_wq_rows_a(wq + kc0, k, rows, kc, kq, dst, wsum.data());
-    } else {
-      pack_wq_rows_b(wq + kc0, k, kc, rows, kq, dst, wsum.data());
-    }
+    pack_wq_rows(wq + kc0, k, rows, kc, kq, width, dst, wsum.data());
     float* corr = out.corr.data() + kc0 / kKC * padded;
     for (std::size_t r = 0; r < padded; ++r) {
       corr[r] = out.scale[r] * static_cast<float>(wsum[r]);
@@ -1022,42 +993,23 @@ void build_conv_plan(int height, int width, int ksize, ConvPlan& plan) {
   APM_CHECK(height > 0 && width > 0 && ksize > 0 && ksize % 2 == 1);
   const int hw = height * width;
   const int pad = ksize / 2;
-  const int taps = ksize * ksize;
   plan.height = height;
   plan.width = width;
   plan.ksize = ksize;
-  plan.period = hw / std::gcd(hw, kNR);
-  plan.period_samples = kNR / std::gcd(hw, kNR);
   plan.tap_off.clear();
-  for (int t = 0; t < taps; ++t) {
-    plan.tap_off.push_back((t / ksize - pad) * width + (t % ksize - pad));
-  }
-  plan.seg_begin.clear();
-  plan.seg_sample.clear();
-  plan.seg_hw.clear();
   plan.masks.clear();
-  for (int e = 0; e < plan.period; ++e) {
-    plan.seg_begin.push_back(static_cast<int>(plan.seg_sample.size()));
-    for (int l = 0; l < kNR;) {
-      const int j = e * kNR + l;
-      const int q0 = j % hw;
-      const int len = std::min(kNR - l, hw - q0);
-      plan.seg_sample.push_back(j / hw);
-      plan.seg_hw.push_back(q0 - l);
-      for (int t = 0; t < taps; ++t) {
-        const int dy = t / ksize - pad, dx = t % ksize - pad;
-        unsigned mask = 0;
-        for (int i = l; i < l + len; ++i) {
-          const int q = q0 + i - l;
-          const int iy = q / width + dy, ix = q % width + dx;
-          if (iy >= 0 && iy < height && ix >= 0 && ix < width) mask |= 1u << i;
-        }
-        plan.masks.push_back(static_cast<std::uint16_t>(mask));
+  for (int t = 0; t < ksize * ksize; ++t) {
+    const int dy = t / ksize - pad, dx = t % ksize - pad;
+    plan.tap_off.push_back(dy * width + dx);
+    for (int q0 = 0; q0 < hw; ++q0) {
+      unsigned mask = 0;
+      for (int i = 0; i < kNR && q0 + i < hw; ++i) {
+        const int iy = (q0 + i) / width + dy, ix = (q0 + i) % width + dx;
+        if (iy >= 0 && iy < height && ix >= 0 && ix < width) mask |= 1u << i;
       }
-      l += len;
+      plan.masks.push_back(static_cast<std::uint16_t>(mask));
     }
   }
-  plan.seg_begin.push_back(static_cast<int>(plan.seg_sample.size()));
 }
 
 namespace {
@@ -1166,10 +1118,6 @@ void tanh_forward(const float* x, float* y, std::size_t n) {
 void tanh_backward(const float* y, const float* dy, float* dx,
                    std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dx[i] = dy[i] * (1.0f - y[i] * y[i]);
-}
-
-void axpy(float alpha, const float* x, float* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
 
 void softmax_rows(const float* x, float* y, int rows, int cols) {

@@ -220,22 +220,18 @@ bool gemm_q8_simd_enabled();
 // pack would build, so outputs equal the lowered GEMM's bit for bit.
 
 // Where the lanes of every B panel read, for one (H, W, ksize). A panel's
-// lanes split into segments, one per sample they cover; a segment's lane l
-// reads x at (its sample's channel plane) + hw + l + tap offset, and a
-// per-(segment, tap) lane mask zeroes the lanes whose tap falls off the
-// board. Panel phases repeat every `period` panels (`period_samples`
-// samples), so one plan serves every batch size and channel count.
+// lanes split into runs, one per sample they cover; lane l of a run that
+// starts at h·w index q0 reads x at (its sample's channel plane) + q0 + l +
+// tap offset. masks[tap][q0] has bit i set when index q0 + i is on this
+// sample and its tap lands on the board, so a run's lane mask is that
+// entry shifted to the run's first lane. One plan serves every batch size
+// and channel count.
 struct ConvPlan {
   int height = 0;
   int width = 0;
   int ksize = 0;
-  int period = 0;          // panels per repeat: H·W / gcd(H·W, 16)
-  int period_samples = 0;  // samples per repeat: 16 / gcd(H·W, 16)
-  std::vector<int> seg_begin;   // [period + 1]: first segment of each panel
-  std::vector<int> seg_sample;  // per segment: sample offset in the repeat
-  std::vector<int> seg_hw;      // per segment: the h·w index lane 0 maps to
-  std::vector<int> tap_off;     // [k·k]: (ky − pad)·W + (kx − pad)
-  std::vector<std::uint16_t> masks;  // [segment][tap]: lanes on the board
+  std::vector<int> tap_off;          // [k·k]: (ky − pad)·W + (kx − pad)
+  std::vector<std::uint16_t> masks;  // [k·k][H·W]: 16 lanes from q0
 };
 
 // Builds `plan` for an H×W input and a ksize×ksize kernel (odd ksize, pad
@@ -286,9 +282,6 @@ void relu_backward(const float* x, const float* dy, float* dx, std::size_t n,
 void tanh_forward(const float* x, float* y, std::size_t n);
 // dx = dy * (1 - y^2).
 void tanh_backward(const float* y, const float* dy, float* dx, std::size_t n);
-
-// y += x
-void axpy(float alpha, const float* x, float* y, std::size_t n);
 
 // --- softmax ----------------------------------------------------------------
 

@@ -41,7 +41,6 @@ class Tensor {
   }
   std::size_t rank() const { return shape_.size(); }
   std::size_t numel() const { return numel_; }
-  bool same_shape(const Tensor& other) const { return shape_ == other.shape_; }
   std::string shape_str() const;
 
   // --- data access ---
