@@ -46,60 +46,29 @@ void PolicyValueNet::forward(const Tensor& x, Activations& a,
   APM_CHECK(x.rank() == 4 && x.dim(1) == cfg_.in_channels &&
             x.dim(2) == cfg_.height && x.dim(3) == cfg_.width);
   const int batch = x.dim(0);
+  // One pass for inference and training: ReLU is fused into each conv and
+  // linear GEMM epilogue, so only post-ReLU tensors exist (backward masks
+  // its gradients with them: relu(x) > 0 exactly where x > 0). Training
+  // also keeps each conv's im2col columns for backward.
+  const auto cols = [&](Tensor& c) { return train ? &c : nullptr; };
+  conv1_.forward(x, a.t1r, a.conv_ws, cols(a.col1), /*fuse_relu=*/true);
+  conv2_.forward(a.t1r, a.t2r, a.conv_ws, cols(a.col2), true);
+  conv3_.forward(a.t2r, a.t3r, a.conv_ws, cols(a.col3), true);
 
-  if (!train) {
-    // Inference: ReLU fused into each conv/linear GEMM epilogue, so each
-    // layer makes one pass over its output and the pre-activation tensors
-    // are never materialised.
-    conv1_.forward(x, a.t1r, a.conv_ws, nullptr, /*fuse_relu=*/true);
-    conv2_.forward(a.t1r, a.t2r, a.conv_ws, nullptr, true);
-    conv3_.forward(a.t2r, a.t3r, a.conv_ws, nullptr, true);
-
-    conv_p_.forward(a.t3r, a.p0r, a.conv_ws, nullptr, true);
-    flatten_view(a.p0r);
-    fc_p_.forward(a.p0r, a.p_logits);
-    // p_logp is left untouched: predict() softmaxes the logits directly,
-    // and only the training loss consumes log-probabilities.
-
-    conv_v_.forward(a.t3r, a.v0r, a.conv_ws, nullptr, true);
-    flatten_view(a.v0r);
-    fc_v1_.forward(a.v0r, a.v1r, /*fuse_relu=*/true);
-    fc_v2_.forward(a.v1r, a.v2);
-    a.value.resize({batch});
-    tanh_forward(a.v2.data(), a.value.data(), a.value.numel());
-    return;
-  }
-
-  // Training: keep pre-activations and col caches for backward.
-  conv1_.forward(x, a.t1, a.conv_ws, &a.col1, false);
-  a.t1r.resize(a.t1.shape());
-  relu_forward(a.t1.data(), a.t1r.data(), a.t1.numel());
-
-  conv2_.forward(a.t1r, a.t2, a.conv_ws, &a.col2, false);
-  a.t2r.resize(a.t2.shape());
-  relu_forward(a.t2.data(), a.t2r.data(), a.t2.numel());
-
-  conv3_.forward(a.t2r, a.t3, a.conv_ws, &a.col3, false);
-  a.t3r.resize(a.t3.shape());
-  relu_forward(a.t3.data(), a.t3r.data(), a.t3.numel());
-
-  // Policy head.
-  conv_p_.forward(a.t3r, a.p0, a.conv_ws, &a.colp, false);
-  a.p0r.resize(a.p0.shape());
-  relu_forward(a.p0.data(), a.p0r.data(), a.p0.numel());
+  conv_p_.forward(a.t3r, a.p0r, a.conv_ws, cols(a.colp), true);
   flatten_view(a.p0r);
   fc_p_.forward(a.p0r, a.p_logits);
-  a.p_logp.resize({batch, cfg_.actions()});
-  log_softmax_rows(a.p_logits.data(), a.p_logp.data(), batch, cfg_.actions());
+  if (train) {
+    // Only the training loss consumes log-probabilities; predict()
+    // softmaxes the logits directly.
+    a.p_logp.resize({batch, cfg_.actions()});
+    log_softmax_rows(a.p_logits.data(), a.p_logp.data(), batch,
+                     cfg_.actions());
+  }
 
-  // Value head.
-  conv_v_.forward(a.t3r, a.v0, a.conv_ws, &a.colv, false);
-  a.v0r.resize(a.v0.shape());
-  relu_forward(a.v0.data(), a.v0r.data(), a.v0.numel());
+  conv_v_.forward(a.t3r, a.v0r, a.conv_ws, cols(a.colv), true);
   flatten_view(a.v0r);
-  fc_v1_.forward(a.v0r, a.v1);
-  a.v1r.resize(a.v1.shape());
-  relu_forward(a.v1.data(), a.v1r.data(), a.v1.numel());
+  fc_v1_.forward(a.v0r, a.v1r, /*fuse_relu=*/true);
   fc_v2_.forward(a.v1r, a.v2);
   a.value.resize({batch});
   tanh_forward(a.v2.data(), a.value.data(), a.value.numel());
@@ -164,18 +133,21 @@ LossParts PolicyValueNet::train_step(const Tensor& x, const Tensor& target_pi,
   Tensor& dv1r = a.dv1r;
   fc_v2_.backward(a.v1r, dv2, dv1r);
   Tensor& dv1 = a.dv1;
-  dv1.resize(a.v1.shape());
-  relu_backward(a.v1.data(), dv1r.data(), dv1.data(), a.v1.numel(),
+  dv1.resize(a.v1r.shape());
+  relu_backward(a.v1r.data(), dv1r.data(), dv1.data(), a.v1r.numel(),
                 /*accumulate=*/false);
   // a.v0r is the [B, Cv·H·W] flat view of the conv output; the gradient
   // comes out flat and is un-flattened to [B, Cv, H, W] by a reshape — no
   // copy either way.
+  const auto planes = [&](int channels) {
+    return std::vector<int>{batch, channels, cfg_.height, cfg_.width};
+  };
   Tensor& dv0r = a.dv0r;
   fc_v1_.backward(a.v0r, dv1, dv0r);
-  dv0r.reshape(a.v0.shape());
+  dv0r.reshape(planes(cfg_.value_channels));
   Tensor& dv0 = a.dv0;
-  dv0.resize(a.v0.shape());
-  relu_backward(a.v0.data(), dv0r.data(), dv0.data(), a.v0.numel(),
+  dv0.resize(dv0r.shape());
+  relu_backward(a.v0r.data(), dv0r.data(), dv0.data(), a.v0r.numel(),
                 /*accumulate=*/false);
   Tensor& dt3_v = a.dt3_v;
   conv_v_.backward(dv0, a.colv, dt3_v, a.dcol);
@@ -183,10 +155,10 @@ LossParts PolicyValueNet::train_step(const Tensor& x, const Tensor& target_pi,
   // --- policy-head backward ------------------------------------------------
   Tensor& dp0r = a.dp0r;
   fc_p_.backward(a.p0r, dlogits, dp0r);
-  dp0r.reshape(a.p0.shape());
+  dp0r.reshape(planes(cfg_.policy_channels));
   Tensor& dp0 = a.dp0;
-  dp0.resize(a.p0.shape());
-  relu_backward(a.p0.data(), dp0r.data(), dp0.data(), a.p0.numel(),
+  dp0.resize(dp0r.shape());
+  relu_backward(a.p0r.data(), dp0r.data(), dp0.data(), a.p0r.numel(),
                 /*accumulate=*/false);
   Tensor& dt3_p = a.dt3_p;
   conv_p_.backward(dp0, a.colp, dt3_p, a.dcol);
@@ -194,24 +166,24 @@ LossParts PolicyValueNet::train_step(const Tensor& x, const Tensor& target_pi,
   // --- trunk backward --------------------------------------------------------
   // dt3r = dt3_v + dt3_p, then back through ReLU and the trunk convs.
   Tensor& dt3 = a.dt3;
-  dt3.resize(a.t3.shape());
+  dt3.resize(a.t3r.shape());
   for (std::size_t i = 0; i < dt3.numel(); ++i)
     dt3[i] = dt3_v[i] + dt3_p[i];
   Tensor& dt3_pre = a.dt3_pre;
-  dt3_pre.resize(a.t3.shape());
-  relu_backward(a.t3.data(), dt3.data(), dt3_pre.data(), a.t3.numel(),
+  dt3_pre.resize(a.t3r.shape());
+  relu_backward(a.t3r.data(), dt3.data(), dt3_pre.data(), a.t3r.numel(),
                 /*accumulate=*/false);
   Tensor& dt2r = a.dt2r;
   conv3_.backward(dt3_pre, a.col3, dt2r, a.dcol);
   Tensor& dt2_pre = a.dt2_pre;
-  dt2_pre.resize(a.t2.shape());
-  relu_backward(a.t2.data(), dt2r.data(), dt2_pre.data(), a.t2.numel(),
+  dt2_pre.resize(a.t2r.shape());
+  relu_backward(a.t2r.data(), dt2r.data(), dt2_pre.data(), a.t2r.numel(),
                 /*accumulate=*/false);
   Tensor& dt1r = a.dt1r;
   conv2_.backward(dt2_pre, a.col2, dt1r, a.dcol);
   Tensor& dt1_pre = a.dt1_pre;
-  dt1_pre.resize(a.t1.shape());
-  relu_backward(a.t1.data(), dt1r.data(), dt1_pre.data(), a.t1.numel(),
+  dt1_pre.resize(a.t1r.shape());
+  relu_backward(a.t1r.data(), dt1r.data(), dt1_pre.data(), a.t1r.numel(),
                 /*accumulate=*/false);
   conv1_.backward(dt1_pre, a.col1, a.dx, a.dcol);
 

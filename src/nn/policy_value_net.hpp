@@ -65,15 +65,14 @@ struct NetConfig {
 // allocates once the workspace is warm. Reused across calls; owns no
 // weights. One per inference thread.
 //
-// Inference (train == false) writes only the post-ReLU tensors (the ReLU is
-// fused into each layer's GEMM epilogue); the pre-activation tensors are
-// populated only when training, where backward needs them. p0r/v0r are left
+// Every layer's ReLU is fused into its GEMM epilogue, so only post-ReLU
+// tensors exist; backward masks its gradients with them. p0r/v0r are left
 // reshaped to [B, C·H·W] after forward — flattening is a view change on the
 // contiguous [B, C, H, W] layout, not a copy.
 struct Activations {
-  Tensor t1, t1r, t2, t2r, t3, t3r;      // trunk pre/post ReLU
-  Tensor p0, p0r, p_logits, p_logp;      // policy head
-  Tensor v0, v0r, v1, v1r, v2, value;    // value head
+  Tensor t1r, t2r, t3r;                  // trunk, post ReLU
+  Tensor p0r, p_logits, p_logp;          // policy head
+  Tensor v0r, v1r, v2, value;            // value head
   ConvWorkspace conv_ws;                 // conv gather plans, per shape
   // caches kept only when training (forward(train=true)):
   Tensor col1, col2, col3, colp, colv;

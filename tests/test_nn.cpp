@@ -474,9 +474,8 @@ TEST(PolicyValueNet, TrainingReducesLossOnFixedBatch) {
 }
 
 TEST(PolicyValueNet, TrainForwardMatchesPredictBitwise) {
-  // Training fills its col caches on the side and applies ReLU as a
-  // separate pass; its post-ReLU activations and heads must still be
-  // exactly what inference computes. The paper net's conv3 spans three K
+  // Training fills its col caches on the side; its post-ReLU activations
+  // and heads must still be exactly what inference computes. The paper net's conv3 spans three K
   // blocks, and a 15x15 batch of 3 has panels straddling samples.
   const NetConfig cfg;
   PolicyValueNet net(cfg, 61);
