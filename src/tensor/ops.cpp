@@ -142,17 +142,17 @@ void pack_b_conv(const ConvInput& in, int kc0, int kc, int jc, int nc,
   for (int jp = 0; jp < panels; ++jp) {
     // The panel's runs in one sample: where lane 0 of the run would read
     // channel 0 at tap offset 0, its first lane, and its tap-0 lane masks.
-    std::ptrdiff_t seg_off[kNR];
-    int seg_lane[kNR];
-    const std::uint16_t* seg_mask[kNR];
-    int nseg = 0;
+    std::ptrdiff_t run_off[kNR];
+    int run_lane[kNR];
+    const std::uint16_t* run_mask[kNR];
+    int nruns = 0;
     sample_runs(jc + jp * kNR, std::min(kNR, nc - jp * kNR), hw,
                 [&](int b, int l, int j, int) {
                   const int q0 = j - b * hw;
-                  seg_off[nseg] = b * sample + q0 - l;
-                  seg_lane[nseg] = l;
-                  seg_mask[nseg] = plan.masks.data() + q0;
-                  ++nseg;
+                  run_off[nruns] = b * sample + q0 - l;
+                  run_lane[nruns] = l;
+                  run_mask[nruns] = plan.masks.data() + q0;
+                  ++nruns;
                 });
     float* d = dst + static_cast<std::size_t>(jp) * kc * kNR;
     int c = kc0 / taps, t = kc0 % taps;
@@ -163,19 +163,19 @@ void pack_b_conv(const ConvInput& in, int kc0, int kc, int jc, int nc,
 #if defined(__AVX512F__)
       // Masked-off lanes are neither read nor faulted on.
       __m512 v = _mm512_setzero_ps();
-      for (int s = 0; s < nseg; ++s) {
+      for (int s = 0; s < nruns; ++s) {
         const auto mask =
-            static_cast<__mmask16>(seg_mask[s][tap_masks] << seg_lane[s]);
-        v = _mm512_mask_loadu_ps(v, mask, in.x + seg_off[s] + row);
+            static_cast<__mmask16>(run_mask[s][tap_masks] << run_lane[s]);
+        v = _mm512_mask_loadu_ps(v, mask, in.x + run_off[s] + row);
       }
       _mm512_storeu_ps(d + p * kNR, v);
 #else
       float* dr = d + p * kNR;
       for (int l = 0; l < kNR; ++l) dr[l] = 0.0f;
-      for (int s = 0; s < nseg; ++s) {
+      for (int s = 0; s < nruns; ++s) {
         const unsigned mask =
-            static_cast<std::uint16_t>(seg_mask[s][tap_masks] << seg_lane[s]);
-        const std::ptrdiff_t base = seg_off[s] + row;
+            static_cast<std::uint16_t>(run_mask[s][tap_masks] << run_lane[s]);
+        const std::ptrdiff_t base = run_off[s] + row;
         for (int l = 0; l < kNR; ++l) {
           if ((mask >> l) & 1u) dr[l] = in.x[base + l];
         }
